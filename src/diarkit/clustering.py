@@ -168,6 +168,9 @@ class PICParams:
             raise ValueError("target_clusters must be >= 1")
 
 
+_ROW_BLOCK = 256
+
+
 def build_knn_graph(
     sim: SimilarityMatrix,
     num_neighbors: int,
@@ -176,9 +179,14 @@ def build_knn_graph(
 ) -> AffinityGraph:
     """Keep each row's K highest-similarity neighbors, sigmoid-squash them.
 
-    Neighbor ties break toward the lower index.  Rows whose kept weights all
-    underflow to zero fall back to a uniform transition over their K chosen
-    neighbors, keeping the transition matrix row-stochastic.
+    The neighbors are the K highest off-diagonal scores of the row; among
+    scores equal to the K-th highest, the lowest indices are kept, so the
+    set is the first K of a stable descending sort.  Each row is selected
+    with ``np.argpartition``; only rows where a score equal to the K-th
+    highest is left out are sorted (stably) to settle the tie.  Rows whose
+    kept weights all underflow to zero fall back to a uniform transition
+    over their K chosen neighbors, keeping the transition matrix
+    row-stochastic.
     """
     S = sim.scores
     n = S.shape[0]
@@ -186,24 +194,35 @@ def build_knn_graph(
         raise ValueError("graph construction needs at least 2 vertices")
     if not 1 <= num_neighbors <= n - 1:
         raise ValueError(f"num_neighbors must lie in [1, {n - 1}], got {num_neighbors}")
-    masked = np.array(S, dtype=float)
-    np.fill_diagonal(masked, -np.inf)
-    # stable sort on negated scores: equal scores keep index order
-    order = np.argsort(-masked, axis=1, kind="stable")
-    chosen = np.sort(order[:, :num_neighbors], axis=1)
-    rows = np.repeat(np.arange(n), num_neighbors)
+    k = num_neighbors
+    chosen = np.empty((n, k), dtype=np.intp)
+    for r0 in range(0, n, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, n)
+        # ascending order of negated scores is descending order of scores;
+        # the diagonal goes last
+        neg = np.negative(S[r0:r1])
+        neg[np.arange(r1 - r0), np.arange(r0, r1)] = np.inf
+        part = np.argpartition(neg, k - 1, axis=1)[:, :k]
+        part_neg = np.take_along_axis(neg, part, axis=1)
+        kth = part_neg.max(axis=1, keepdims=True)
+        kept_ties = np.count_nonzero(part_neg == kth, axis=1)
+        tied = np.flatnonzero(np.count_nonzero(neg == kth, axis=1) > kept_ties)
+        if tied.size:
+            part[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
+        chosen[r0:r1] = np.sort(part, axis=1)
+    rows = np.repeat(np.arange(n), k)
     cols = chosen.ravel()
-    w = sigmoid_weights(S[rows, cols], scale=scale, offset=offset).reshape(n, num_neighbors)
+    w = sigmoid_weights(S[rows, cols], scale=scale, offset=offset).reshape(n, k)
     W = np.zeros((n, n))
     W[rows, cols] = w.ravel()
     totals = w.sum(axis=1)
     trans = np.empty_like(w)
     positive = totals > 0.0
     trans[positive] = w[positive] / totals[positive, None]
-    trans[~positive] = 1.0 / num_neighbors
+    trans[~positive] = 1.0 / k
     P = np.zeros((n, n))
     P[rows, cols] = trans.ravel()
-    return AffinityGraph(weights=W, transition=P, num_neighbors=num_neighbors)
+    return AffinityGraph(weights=W, transition=P, num_neighbors=k)
 
 
 def _solve_restricted(P: np.ndarray, members: np.ndarray, z: float, rhs: np.ndarray) -> np.ndarray:
@@ -299,14 +318,10 @@ def init_partition(graph: AffinityGraph) -> Partition:
     """
     W = graph.weights
     n = len(graph)
-    rows, cols = [], []
-    for i in range(n):
-        j = int(np.argmax(W[i]))
-        if W[i, j] > 0.0:
-            rows.append(i)
-            cols.append(j)
+    best = np.argmax(W, axis=1)
+    rows = np.flatnonzero(W[np.arange(n), best] > 0.0)
     adj = scipy.sparse.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, n)
+        (np.ones(len(rows)), (rows, best[rows])), shape=(n, n)
     ).tocsr()
     _, labels = scipy.sparse.csgraph.connected_components(
         adj, directed=True, connection="weak"

@@ -181,9 +181,42 @@ class PLDAModel:
         return cls(mean[0].astype(float), between.astype(float), within.astype(float))
 
 
+_TILE = 128
+
+
+def _symmetrize(S: np.ndarray, out: np.ndarray) -> float:
+    """Write ``0.5 * (S + S.T)`` into ``out`` tile by tile; return max |S - S.T|.
+
+    ``out`` may be ``S`` itself: each tile pair is read in full before either
+    of its tiles is written.  An entry below the diagonal gets the bits of its
+    mirror above it, which are the bits of the full-matrix expression because
+    floating-point addition is commutative.
+    """
+    n = S.shape[0]
+    worst = 0.0
+    for r0 in range(0, n, _TILE):
+        rows = slice(r0, r0 + _TILE)
+        for c0 in range(r0, n, _TILE):
+            cols = slice(c0, c0 + _TILE)
+            upper = S[rows, cols]
+            lower_t = S[cols, rows].T
+            worst = max(worst, float(np.abs(upper - lower_t).max()))
+            tile = upper + lower_t
+            tile *= 0.5
+            out[rows, cols] = tile
+            out[cols, rows] = tile.T
+    return worst
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Symmetric pairwise score matrix for one recording."""
+    """Symmetric pairwise score matrix for one recording.
+
+    The input must be square, finite and symmetric within 1e-6; the check
+    takes the largest |S - S.T| over the same tile-by-tile pass that stores
+    ``0.5 * (S + S.T)``.  ``scores`` is always a new array owned by this
+    object, so later changes to the input do not reach it.
+    """
 
     recording_id: str
     scores: np.ndarray
@@ -195,7 +228,8 @@ class SimilarityMatrix:
             raise ValueError(f"score matrix must be square, got {S.shape}")
         if not np.isfinite(S).all():
             raise ValueError("score matrix must be finite")
-        if np.abs(S - S.T).max(initial=0.0) > 1e-6:
+        sym = np.empty_like(S)
+        if _symmetrize(S, sym) > 1e-6:
             raise ValueError("score matrix must be symmetric within 1e-6")
         if self.kind not in ("cosine", "plda"):
             raise ValueError(f"unknown score kind {self.kind!r}")
@@ -204,7 +238,7 @@ class SimilarityMatrix:
                 raise ValueError("cosine scores must lie in [-1, 1]")
             if np.abs(np.diag(S) - 1.0).max() > 1e-6:
                 raise ValueError("cosine diagonal must be 1")
-        object.__setattr__(self, "scores", 0.5 * (S + S.T))
+        object.__setattr__(self, "scores", sym)
 
     def __len__(self) -> int:
         return self.scores.shape[0]
@@ -228,7 +262,7 @@ def cosine_similarity(embeddings, pca: PCAModel, recording_id: str = "recording"
     safe = np.where(norms > 0, norms, 1.0)
     unit = proj / safe[:, None]
     S = unit @ unit.T
-    S = 0.5 * (S + S.T)
+    _symmetrize(S, S)
     np.clip(S, -1.0, 1.0, out=S)
     degenerate = norms == 0
     S[degenerate, :] = 0.0
@@ -271,9 +305,17 @@ class _PairwiseScorer:
     def matrix(self, X: np.ndarray) -> np.ndarray:
         Xc = X - self.mean
         q = np.einsum("ij,jk,ik->i", Xc, self.Q, Xc)
-        cross = Xc @ self.N @ Xc.T
-        S = self.const - 0.5 * (q[:, None] + q[None, :]) - cross
-        return 0.5 * (S + S.T)
+        # S = const - 0.5 * (q_i + q_j) - cross, built row block by row block
+        # in the buffer of cross with the same operations in the same order
+        S = Xc @ self.N @ Xc.T
+        for r0 in range(0, S.shape[0], _TILE):
+            rows = slice(r0, r0 + _TILE)
+            part = q[rows, None] + q[None, :]
+            part *= 0.5
+            np.subtract(self.const, part, out=part)
+            np.subtract(part, S[rows], out=S[rows])
+        _symmetrize(S, S)
+        return S
 
 
 def plda_llr(model: PLDAModel, x_i: np.ndarray, x_j: np.ndarray) -> float:

@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.special
 import scipy.stats
 
 
@@ -110,6 +111,51 @@ class UnionFind:
         for i in range(len(self.parent)):
             by_root.setdefault(self.find(i), []).append(i)
         return sorted(by_root.values(), key=lambda g: g[0])
+
+
+def knn_graph_by_stable_sort(
+    S: np.ndarray, num_neighbors: int, scale: float = 1.0, offset: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and transition of the K-NN graph from a stable full-row sort.
+
+    The selection ``build_knn_graph`` made before it used partial selection,
+    kept verbatim: a stable ascending sort of every negated row, diagonal
+    masked, whose first K columns are the neighbors.
+    """
+    n = S.shape[0]
+    masked = np.array(S, dtype=float)
+    np.fill_diagonal(masked, -np.inf)
+    # stable sort on negated scores: equal scores keep index order
+    order = np.argsort(-masked, axis=1, kind="stable")
+    chosen = np.sort(order[:, :num_neighbors], axis=1)
+    rows = np.repeat(np.arange(n), num_neighbors)
+    cols = chosen.ravel()
+    w = scipy.special.expit(scale * (S[rows, cols] - offset)).reshape(n, num_neighbors)
+    W = np.zeros((n, n))
+    W[rows, cols] = w.ravel()
+    totals = w.sum(axis=1)
+    trans = np.empty_like(w)
+    positive = totals > 0.0
+    trans[positive] = w[positive] / totals[positive, None]
+    trans[~positive] = 1.0 / num_neighbors
+    P = np.zeros((n, n))
+    P[rows, cols] = trans.ravel()
+    return W, P
+
+
+def one_nn_components_by_loop(W: np.ndarray) -> list[list[int]]:
+    """Weak components of the 1-NN graph, one vertex at a time.
+
+    Each vertex links to the first maximum of its weight row when that
+    weight is positive.
+    """
+    n = W.shape[0]
+    uf = UnionFind(n)
+    for i in range(n):
+        j = int(np.argmax(W[i]))
+        if W[i, j] > 0.0:
+            uf.union(i, j)
+    return uf.groups()
 
 
 def best_pair_by_scan(table: np.ndarray) -> tuple[int, int]:

@@ -24,6 +24,8 @@ from oracles import (
     UnionFind,
     conditional_truncated_path_sum,
     enumerated_walk_sum,
+    knn_graph_by_stable_sort,
+    one_nn_components_by_loop,
     truncated_path_sum,
     truncation_tail_bound,
 )
@@ -132,6 +134,28 @@ def test_knn_uniform_fallback_on_underflow():
         row = g.transition[i]
         assert np.count_nonzero(row) == 2
         np.testing.assert_allclose(row[row > 0], 0.5)
+
+
+def test_knn_selection_matches_stable_sort_reference():
+    rng = np.random.default_rng(41)
+    cases = []
+    for n in (2, 3, 40, 257, 700):
+        raw = rng.normal(scale=3.0, size=(n, n))
+        random = 0.5 * (raw + raw.T)
+        cases += [("random", random), ("ties", np.round(2.0 * random) / 2.0)]
+    cases.append(("equal", np.full((300, 300), 0.25)))
+    # a few distinct values: every row ties across block boundaries
+    raw = rng.integers(0, 3, size=(600, 600)).astype(float)
+    cases.append(("three-valued", np.maximum(raw, raw.T)))
+    for name, scores in cases:
+        n = scores.shape[0]
+        sim = SimilarityMatrix("rec", scores, kind="plda")
+        for k in sorted({1, min(30, n - 1), n - 1}):
+            for scale, offset in ((1.0, 0.0), (0.7, 1.5)):
+                g = build_knn_graph(sim, num_neighbors=k, scale=scale, offset=offset)
+                W, P = knn_graph_by_stable_sort(sim.scores, k, scale, offset)
+                assert np.array_equal(g.weights, W), (name, n, k)
+                assert np.array_equal(g.transition, P), (name, n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +393,22 @@ def test_pic_params_validation():
 
 # ---------------------------------------------------------------------------
 # initial partition
+
+
+def test_init_partition_matches_per_vertex_loop():
+    rng = np.random.default_rng(43)
+    for n in (2, 5, 60, 400):
+        for k in sorted({1, min(3, n - 1), n - 1}):
+            W = np.zeros((n, n))
+            for i in range(n):
+                cols = rng.choice(np.delete(np.arange(n), i), size=k, replace=False)
+                # coarse values give ties; some rows keep no positive weight
+                W[i, cols] = np.round(rng.uniform(0.0, 2.0, size=k)) / 2.0
+            P = np.where(W.sum(axis=1, keepdims=True) > 0.0, W, 1.0 - np.eye(n))
+            P = P / P.sum(axis=1, keepdims=True)
+            g = AffinityGraph(weights=W, transition=P, num_neighbors=k)
+            expected = [tuple(c) for c in one_nn_components_by_loop(W)]
+            assert list(init_partition(g).clusters) == expected, (n, k)
 
 
 def test_init_partition_mutual_pairs():

@@ -301,6 +301,26 @@ def test_similarity_matrix_validation():
     assert sim.scores[0, 1] == sim.scores[1, 0]
     with pytest.raises(ValueError):
         SimilarityMatrix("r", np.array([[1.0, 2.0], [2.0, 1.0]]), kind="cosine")
+    # larger than one tile: every entry is asymmetric below the tolerance,
+    # and one pair inside an off-diagonal tile goes past it
+    rng = np.random.default_rng(29)
+    raw = rng.normal(size=(600, 600))
+    big = raw + raw.T + rng.uniform(-2.5e-7, 2.5e-7, size=(600, 600))
+    sim = SimilarityMatrix("r", big, kind="plda")
+    expected = 0.5 * (big + big.T)
+    assert np.array_equal(sim.scores, expected)
+    big[:] = 0.0
+    assert np.array_equal(sim.scores, expected)
+    skewed = raw + raw.T
+    skewed[517, 3] += 2e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        SimilarityMatrix("r", skewed, kind="plda")
+    X = rng.normal(size=(600, 5))
+    model = PLDAModel(np.zeros(5), random_psd(rng, 5), random_pd(rng, 5))
+    plda = score_plda_matrix(X, model, energy_fraction=0.9).scores
+    assert np.array_equal(plda, plda.T)
+    cos = cosine_similarity(X, fit_pca(X, 4)).scores
+    assert np.array_equal(cos, cos.T)
 
 
 def test_sigmoid_weights_values():
