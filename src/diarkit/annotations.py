@@ -6,7 +6,9 @@ decimal places, the usual exchange precision for diarization hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
@@ -14,6 +16,8 @@ __all__ = [
     "Annotation",
     "ScoringRegions",
     "RTTMParseError",
+    "read_fields",
+    "disjoint_intervals",
     "parse_rttm",
     "write_rttm",
     "parse_uem",
@@ -99,6 +103,39 @@ class ScoringRegions:
         return sum(off - on for on, off in self.intervals)
 
 
+def read_fields(
+    text: str, kind: str, n_fields: int, numeric: tuple[int, ...], tagged: bool = True
+) -> Iterator[tuple[int, list[str], list[float]]]:
+    """Yield ``(line_number, fields, values)`` for each data line of ``text``.
+
+    The one reader behind the whitespace-separated line formats (RTTM, UEM,
+    OVL).  Blank lines and lines starting with ``#`` or ``;;`` are skipped;
+    when ``tagged``, so is every line whose first field is not ``kind``.  A
+    data line must have exactly ``n_fields`` fields, and the fields at the
+    ``numeric`` positions must be finite numbers, returned in ``values``.
+    Any violation raises RTTMParseError carrying the 1-based line number.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith(("#", ";;")):
+            continue
+        fields = line.split()
+        if tagged and fields[0] != kind:
+            continue
+        if len(fields) != n_fields:
+            raise RTTMParseError(
+                f"expected {n_fields} fields on {kind} line, got {len(fields)}", lineno
+            )
+        try:
+            values = [float(fields[k]) for k in numeric]
+            if not all(map(math.isfinite, values)):
+                raise ValueError
+        except ValueError:
+            shown = " ".join(repr(fields[k]) for k in numeric)
+            raise RTTMParseError(f"non-numeric or non-finite {kind} fields {shown}", lineno) from None
+        yield lineno, fields, values
+
+
 def parse_rttm(text: str) -> list[Annotation]:
     """Parse RTTM text into one Annotation per recording (sorted by id).
 
@@ -107,31 +144,29 @@ def parse_rttm(text: str) -> list[Annotation]:
     <= 0) raises RTTMParseError carrying the offending line number.
     """
     by_recording: dict[str, list[Segment]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(("#", ";;")):
-            continue
-        fields = line.split()
-        if fields[0] != "SPEAKER":
-            continue
-        if len(fields) != 10:
-            raise RTTMParseError(
-                f"expected 10 fields on SPEAKER line, got {len(fields)}", lineno
-            )
-        rec, onset_s, dur_s, speaker = fields[1], fields[3], fields[4], fields[7]
-        try:
-            onset = float(onset_s)
-            duration = float(dur_s)
-        except ValueError:
-            raise RTTMParseError(
-                f"non-numeric onset/duration {onset_s!r} {dur_s!r}", lineno
-            ) from None
+    for lineno, fields, (onset, duration) in read_fields(text, "SPEAKER", 10, (3, 4)):
         if duration <= 0:
             raise RTTMParseError(f"duration must be > 0, got {duration}", lineno)
         if onset < 0:
             raise RTTMParseError(f"onset must be >= 0, got {onset}", lineno)
-        by_recording.setdefault(rec, []).append(Segment(rec, onset, duration, speaker))
+        rec = fields[1]
+        by_recording.setdefault(rec, []).append(Segment(rec, onset, duration, fields[7]))
     return [Annotation(rec, tuple(segs)) for rec, segs in sorted(by_recording.items())]
+
+
+def disjoint_intervals(
+    spans: list[tuple[float, float, int]], kind: str
+) -> tuple[tuple[float, float], ...]:
+    """Sort ``(onset, offset, line_number)`` spans into disjoint intervals.
+
+    An interval that starts before the previous one ends raises
+    RTTMParseError at its line number.
+    """
+    spans = sorted(spans)
+    for (_, prev_end, _), (onset, _, lineno) in zip(spans, spans[1:]):
+        if onset < prev_end:
+            raise RTTMParseError(f"{kind} intervals overlap", lineno)
+    return tuple((onset, offset) for onset, offset, _ in spans)
 
 
 def write_rttm(annotations: list[Annotation] | Annotation) -> str:
@@ -150,25 +185,14 @@ def write_rttm(annotations: list[Annotation] | Annotation) -> str:
 
 def parse_uem(text: str) -> list[ScoringRegions]:
     """Parse UEM lines ``<recording> 1 <onset> <offset>`` into ScoringRegions."""
-    by_recording: dict[str, list[tuple[float, float]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(("#", ";;")):
-            continue
-        fields = line.split()
-        if len(fields) != 4:
-            raise RTTMParseError(f"expected 4 fields on UEM line, got {len(fields)}", lineno)
-        rec = fields[0]
-        try:
-            onset, offset = float(fields[2]), float(fields[3])
-        except ValueError:
-            raise RTTMParseError(f"non-numeric UEM bounds {fields[2]!r} {fields[3]!r}", lineno) from None
-        if not onset < offset:
-            raise RTTMParseError(f"UEM interval must satisfy onset < offset", lineno)
-        by_recording.setdefault(rec, []).append((onset, offset))
+    by_recording: dict[str, list[tuple[float, float, int]]] = {}
+    for lineno, fields, (onset, offset) in read_fields(text, "UEM", 4, (2, 3), tagged=False):
+        if not 0.0 <= onset < offset:
+            raise RTTMParseError("UEM interval must satisfy 0 <= onset < offset", lineno)
+        by_recording.setdefault(fields[0], []).append((onset, offset, lineno))
     return [
-        ScoringRegions(rec, tuple(sorted(ivs)))
-        for rec, ivs in sorted(by_recording.items())
+        ScoringRegions(rec, disjoint_intervals(spans, "UEM"))
+        for rec, spans in sorted(by_recording.items())
     ]
 
 

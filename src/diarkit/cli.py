@@ -18,17 +18,17 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .annotations import parse_rttm, parse_uem, read_rttm_file
-from .metrics import aggregate, der, format_report, report_rows
+from .annotations import Annotation, read_rttm_file
 from .pipeline import (
     ConfigError,
     ModelSet,
     PipelineConfig,
-    _discover_recordings,
-    _domain_table,
-    _route_recording,
+    discover_recordings,
+    route_recording,
     run_corpus,
+    score_corpus,
     synthesize_corpus,
+    write_report,
 )
 
 
@@ -117,7 +117,7 @@ def _read_domain_map(args) -> dict[str, str] | None:
 def _apply_subset(config: PipelineConfig, args, core: set[str] | None) -> PipelineConfig:
     if args.subset != "core":
         return config
-    recordings = [rec for rec in _discover_recordings(config) if rec in core]
+    recordings = [rec for rec in discover_recordings(config) if rec in core]
     if not recordings:
         raise ConfigError("core list matches no recording in the corpus")
     return dataclasses.replace(config, recordings=tuple(recordings))
@@ -135,9 +135,9 @@ def _cmd_route(args) -> int:
     config = _apply_subset(config, args, core)
     models = ModelSet.load(config)
     lines = []
-    for rec in _discover_recordings(config):
+    for rec in discover_recordings(config):
         try:
-            route = _route_recording(rec, config, models)
+            route = route_recording(rec, config, models)
         except Exception as exc:  # noqa: BLE001 - report per recording
             route = f"error ({exc})"
         lines.append(f"{rec}\t{route}")
@@ -170,63 +170,35 @@ def _cmd_diarize(args) -> int:
     return 0 if manifest.succeeded() else 1
 
 
-def _score_existing(config: PipelineConfig, out: Path, core, domain_map):
-    if not config.reference_rttm:
-        raise ConfigError("scoring requires reference_rttm in the config")
-    ref_by_rec = {a.recording_id: a for a in parse_rttm(Path(config.reference_rttm).read_text())}
-    uem_by_rec = {}
-    if config.uem:
-        uem_by_rec = {r.recording_id: r for r in parse_uem(Path(config.uem).read_text())}
+def _read_hypotheses(out: Path) -> dict[str, Annotation]:
     hyp_dir = out / "hyp"
     if not hyp_dir.is_dir():
         raise ConfigError(f"no hypothesis directory at {hyp_dir}; run diarize first")
-    reports = []
+    hypotheses = {}
     for path in sorted(hyp_dir.glob("*.rttm")):
-        rec = path.stem
-        if rec not in ref_by_rec:
-            continue
         anns = read_rttm_file(path)
-        if not anns:
-            continue
-        reports.append(
-            der(
-                ref_by_rec[rec],
-                anns[0],
-                collar=config.metrics.collar,
-                regions=uem_by_rec.get(rec),
-                score_overlap=config.metrics.score_overlap,
-            )
-        )
-    if not reports:
-        raise ConfigError("no scoreable recordings (no hyp/ref overlap)")
-    rows = list(reports) + [aggregate(reports)]
-    if core is not None:
-        rows.append(aggregate(reports, name="CORE", include=core))
-    text = format_report(rows)
-    if domain_map:
-        text += "\n" + _domain_table(reports, domain_map)
-    return rows, text
+        hypotheses[path.stem] = anns[0] if anns else Annotation(path.stem, ())
+    return hypotheses
 
 
-def _cmd_score(args) -> int:
+def _score_outputs(args):
     config = _load_config(args)
     core = _read_core_list(args)
     domain_map = _read_domain_map(args)
     out = _require_output(args)
-    _, text = _score_existing(config, out, core, domain_map)
+    rows, text = score_corpus(_read_hypotheses(out), config, core, domain_map)
+    return out, rows, text
+
+
+def _cmd_score(args) -> int:
+    _, _, text = _score_outputs(args)
     sys.stdout.write(text)
     return 0
 
 
 def _cmd_report(args) -> int:
-    config = _load_config(args)
-    core = _read_core_list(args)
-    domain_map = _read_domain_map(args)
-    out = _require_output(args)
-    rows, text = _score_existing(config, out, core, domain_map)
-    (out / "report.txt").write_text(text)
-    tsv = "\n".join("\t".join(row) for row in report_rows(rows)) + "\n"
-    (out / "report.tsv").write_text(tsv)
+    out, rows, text = _score_outputs(args)
+    write_report(out, rows, text)
     print(f"wrote {out / 'report.txt'} and {out / 'report.tsv'}")
     return 0
 

@@ -597,14 +597,13 @@ def ahc_cluster(
     """
     if (threshold is None) == (num_clusters is None):
         raise ValueError("give exactly one of threshold or num_clusters")
-    S = sim.scores.astype(float)
-    n = S.shape[0]
+    n = sim.scores.shape[0]
     if num_clusters is not None and not 1 <= num_clusters <= n:
         raise ValueError(f"num_clusters must lie in [1, {n}]")
     if n == 1:
         return Partition.from_labels([0])
 
-    link = S.copy()
+    link = sim.scores.astype(float)  # always a copy: the loop overwrites it
     np.fill_diagonal(link, -np.inf)
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n)

@@ -10,6 +10,12 @@ given distance of any reference segment boundary.  JER averages per
 reference speaker 1 - intersection/union against the optimally mapped
 hypothesis speaker (1.0 when unmapped); it uses the scoring regions but no
 collar and always scores overlap.
+
+Every entry point builds its speaker grids and region mask once, in
+``_frame_grids``, and maps speakers with one Hungarian routine,
+``_matched_pairs``: DER on the collar- and overlap-filtered frames, JER and
+:func:`optimal_mapping` on the region frames.  ``der`` reports the JER of
+the grids it already built.
 """
 
 from __future__ import annotations
@@ -42,30 +48,48 @@ def _speaker_frames(annotation: Annotation, speakers: list[str], n_frames: int) 
     return grid
 
 
-def _scored_mask(
-    reference: Annotation,
-    n_frames: int,
-    collar: float,
-    regions: ScoringRegions | None,
-    score_overlap: bool,
-    ref_grid: np.ndarray,
-    apply_collar: bool = True,
-) -> np.ndarray:
-    mask = np.zeros(n_frames, dtype=bool)
+def _frame_grids(reference: Annotation, hypothesis: Annotation, regions: ScoringRegions | None):
+    """Sorted speaker labels, (speakers, frames) grids and region mask of one call."""
+    ref_spk = list(reference.speakers())
+    hyp_spk = list(hypothesis.speakers())
+    n_frames = max(_frame(reference.extent()), _frame(hypothesis.extent()), 1)
+    region = np.full(n_frames, regions is None)
     if regions is not None:
         for on, off in regions.intervals:
-            mask[_frame(on) : _frame(off)] = True
-    else:
-        mask[:] = True
-    if apply_collar and collar > 0.0:
-        for seg in reference.segments:
-            for boundary in (seg.onset, seg.offset):
-                a = max(_frame(boundary - collar), 0)
-                b = _frame(boundary + collar)
-                mask[a:b] = False
-    if not score_overlap:
-        mask &= ref_grid.sum(axis=0) < 2
-    return mask
+            region[_frame(on) : _frame(off)] = True
+    R = _speaker_frames(reference, ref_spk, n_frames)
+    H = _speaker_frames(hypothesis, hyp_spk, n_frames)
+    return ref_spk, hyp_spk, R, H, region
+
+
+def _matched_pairs(R: np.ndarray, H: np.ndarray) -> list[tuple[int, int]]:
+    """Hungarian (reference, hypothesis) index pairs maximizing shared frames.
+
+    Pairs with zero shared frames are dropped, so speakers may stay
+    unmapped; ties among optima resolve by the speakers' sorted label order.
+    """
+    shared = R.astype(np.int64) @ H.astype(np.int64).T
+    if not shared.size:
+        return []
+    rows, cols = scipy.optimize.linear_sum_assignment(-shared)
+    return [(int(i), int(j)) for i, j in zip(rows, cols) if shared[i, j] > 0]
+
+
+def _jaccard_error(R: np.ndarray, H: np.ndarray) -> float | None:
+    """Mean Jaccard error over reference speakers of region-masked grids."""
+    if not len(R):
+        return None
+    match = dict(_matched_pairs(R, H))
+    errors = []
+    for i in range(len(R)):
+        if i not in match:
+            errors.append(1.0)
+            continue
+        h = H[match[i]]
+        union = float((R[i] | h).sum())
+        inter = float((R[i] & h).sum())
+        errors.append(1.0 - inter / union if union > 0 else 1.0)
+    return float(np.mean(errors))
 
 
 def optimal_mapping(reference: Annotation, hypothesis: Annotation, regions: ScoringRegions | None = None) -> tuple[tuple[str, str], ...]:
@@ -75,26 +99,8 @@ def optimal_mapping(reference: Annotation, hypothesis: Annotation, regions: Scor
     Speakers are considered in sorted label order, which makes the choice
     among equal-agreement optima deterministic.
     """
-    ref_spk = list(reference.speakers())
-    hyp_spk = list(hypothesis.speakers())
-    if not ref_spk or not hyp_spk:
-        return ()
-    n_frames = max(_frame(reference.extent()), _frame(hypothesis.extent()), 1)
-    R = _speaker_frames(reference, ref_spk, n_frames)
-    H = _speaker_frames(hypothesis, hyp_spk, n_frames)
-    if regions is not None:
-        mask = np.zeros(n_frames, dtype=bool)
-        for on, off in regions.intervals:
-            mask[_frame(on) : _frame(off)] = True
-        R = R & mask
-        H = H & mask
-    shared = R.astype(np.int64) @ H.astype(np.int64).T
-    rows, cols = scipy.optimize.linear_sum_assignment(-shared)
-    return tuple(
-        (ref_spk[i], hyp_spk[j])
-        for i, j in zip(rows, cols)
-        if shared[i, j] > 0
-    )
+    ref_spk, hyp_spk, R, H, region = _frame_grids(reference, hypothesis, regions)
+    return tuple((ref_spk[i], hyp_spk[j]) for i, j in _matched_pairs(R & region, H & region))
 
 
 @dataclass(frozen=True)
@@ -122,25 +128,24 @@ def der(
 
     ``der = (missed + false_alarm + confusion) / scored_speech`` where
     scored_speech is total reference speaker time in the scored regions.
-    An empty scored reference gives der = None (undefined, not zero).
+    An empty scored reference gives der = None (undefined, not zero).  The
+    report's ``jer`` is :func:`jer` of the same call.
     """
     if collar < 0:
         raise ValueError(f"collar must be >= 0, got {collar}")
-    ref_spk = list(reference.speakers())
-    hyp_spk = list(hypothesis.speakers())
-    n_frames = max(_frame(reference.extent()), _frame(hypothesis.extent()), 1)
-    R = _speaker_frames(reference, ref_spk, n_frames)
-    H = _speaker_frames(hypothesis, hyp_spk, n_frames)
-    scored = _scored_mask(reference, n_frames, collar, regions, score_overlap, R)
+    ref_spk, hyp_spk, R, H, region = _frame_grids(reference, hypothesis, regions)
+    scored = region.copy()
+    if collar > 0.0:
+        for seg in reference.segments:
+            for boundary in (seg.onset, seg.offset):
+                scored[max(_frame(boundary - collar), 0) : _frame(boundary + collar)] = False
+    if not score_overlap:
+        scored &= R.sum(axis=0) < 2
 
-    Rs = R[:, scored]
-    Hs = H[:, scored]
-    shared = Rs.astype(np.int64) @ Hs.astype(np.int64).T
-    if shared.size:
-        rows, cols = scipy.optimize.linear_sum_assignment(-shared)
-        pairs = [(i, j) for i, j in zip(rows, cols) if shared[i, j] > 0]
-    else:
-        pairs = []
+    # unscored frames are zeroed, not cut out: every count below is the same
+    Rs = R & scored
+    Hs = H & scored
+    pairs = _matched_pairs(Rs, Hs)
     mapping = tuple((ref_spk[i], hyp_spk[j]) for i, j in pairs)
 
     n_ref = Rs.sum(axis=0).astype(np.int64)
@@ -154,7 +159,6 @@ def der(
     confusion = float((np.minimum(n_ref, n_hyp) - n_correct).sum()) * FRAME
     scored_speech = float(n_ref.sum()) * FRAME
     rate = (missed + false_alarm + confusion) / scored_speech if scored_speech > 0 else None
-    jaccard = jer(reference, hypothesis, regions=regions)
     return DERReport(
         recording_id=reference.recording_id,
         scored_speech=scored_speech,
@@ -162,7 +166,7 @@ def der(
         false_alarm=false_alarm,
         confusion=confusion,
         der=rate,
-        jer=jaccard,
+        jer=_jaccard_error(R & region, H & region),
         speaker_map=mapping,
     )
 
@@ -173,35 +177,8 @@ def jer(
     regions: ScoringRegions | None = None,
 ) -> float | None:
     """Mean per-reference-speaker Jaccard error under the optimal mapping."""
-    ref_spk = list(reference.speakers())
-    if not ref_spk:
-        return None
-    hyp_spk = list(hypothesis.speakers())
-    n_frames = max(_frame(reference.extent()), _frame(hypothesis.extent()), 1)
-    R = _speaker_frames(reference, ref_spk, n_frames)
-    H = _speaker_frames(hypothesis, hyp_spk, n_frames)
-    if regions is not None:
-        mask = np.zeros(n_frames, dtype=bool)
-        for on, off in regions.intervals:
-            mask[_frame(on) : _frame(off)] = True
-        R &= mask
-        H &= mask
-    if hyp_spk:
-        shared = R.astype(np.int64) @ H.astype(np.int64).T
-        rows, cols = scipy.optimize.linear_sum_assignment(-shared)
-        match = {int(i): int(j) for i, j in zip(rows, cols) if shared[i, j] > 0}
-    else:
-        match = {}
-    errors = []
-    for i in range(len(ref_spk)):
-        if i not in match:
-            errors.append(1.0)
-            continue
-        h = H[match[i]]
-        union = float((R[i] | h).sum())
-        inter = float((R[i] & h).sum())
-        errors.append(1.0 - inter / union if union > 0 else 1.0)
-    return float(np.mean(errors))
+    _, _, R, H, region = _frame_grids(reference, hypothesis, regions)
+    return _jaccard_error(R & region, H & region)
 
 
 def aggregate(

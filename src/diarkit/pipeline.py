@@ -78,6 +78,10 @@ __all__ = [
     "run_wideband",
     "run_narrowband",
     "run_corpus",
+    "discover_recordings",
+    "route_recording",
+    "score_corpus",
+    "write_report",
 ]
 
 
@@ -135,7 +139,6 @@ class ClusteringSection:
 class VBxSection:
     enabled: bool = True
     loop_probability: float = 0.8
-    lda_dim: int = 220
     lda_model: str | None = None
     whitening_stats: str | None = None
     plda_interpolation_alpha: float = 0.5
@@ -149,8 +152,6 @@ class VBxSection:
     def to_vbx_config(self) -> VBxConfig:
         return VBxConfig(
             loop_probability=self.loop_probability,
-            lda_dim=self.lda_dim,
-            plda_interpolation_alpha=self.plda_interpolation_alpha,
             max_iterations=self.max_iterations,
             convergence_tolerance=self.convergence_tolerance,
             acoustic_scale=self.acoustic_scale,
@@ -182,10 +183,10 @@ class PipelineConfig:
     bandwidth_embeddings_dir: str | None = None
     route_override: str | None = None  # "wideband" or "narrowband"
     recordings: tuple[str, ...] | None = None
-    window_size: float = 1.5
-    window_shift: float = 0.25
     sad_gating: bool = True
     merge_gap: float = 0.0
+    # nothing random reads it; it is kept because it enters config_hash, so
+    # the manifest records a run made with --seed N as a different config
     seed: int = 0
     scoring: ScoringSection = field(default_factory=ScoringSection)
     clustering: ClusteringSection = field(default_factory=ClusteringSection)
@@ -545,7 +546,7 @@ def run_narrowband(
     return merge_adjacent(ann, config.merge_gap)
 
 
-def _discover_recordings(config: PipelineConfig) -> list[str]:
+def discover_recordings(config: PipelineConfig) -> list[str]:
     if config.recordings:
         return sorted(config.recordings)
     found = set()
@@ -558,7 +559,7 @@ def _discover_recordings(config: PipelineConfig) -> list[str]:
     return sorted(found)
 
 
-def _route_recording(rec: str, config: PipelineConfig, models: ModelSet) -> str:
+def route_recording(rec: str, config: PipelineConfig, models: ModelSet) -> str:
     if config.route_override:
         return config.route_override
     if models.bandwidth is None:
@@ -598,18 +599,16 @@ def run_corpus(
     out = Path(output_dir)
     (out / "hyp").mkdir(parents=True, exist_ok=True)
     models = ModelSet.load(config)
-    recordings = _discover_recordings(config)
+    recordings = discover_recordings(config)
 
     sad_by_rec = _load_per_recording(config.sad_rttm, parse_rttm)
-    ref_by_rec = _load_per_recording(config.reference_rttm, parse_rttm)
-    uem_by_rec = _load_per_recording(config.uem, parse_uem)
     ovl_by_rec = _load_per_recording(config.overlap_regions, parse_overlap_regions)
 
     routes: dict[str, str] = {}
     failures: dict[str, str] = {}
     for rec in recordings:
         try:
-            routes[rec] = _route_recording(rec, config, models)
+            routes[rec] = route_recording(rec, config, models)
         except Exception as exc:  # noqa: BLE001 - per-recording isolation
             failures[rec] = str(exc)
             routes[rec] = "wideband"
@@ -681,31 +680,57 @@ def run_corpus(
     manifest = RunManifest(__version__, config.config_hash(), tuple(entries))
     (out / "manifest.txt").write_text(manifest.to_text())
 
-    if ref_by_rec:
-        reports: list[DERReport] = []
-        for rec in sorted(hypotheses):
-            if rec not in ref_by_rec:
-                warnings.warn(f"no reference for {rec}; skipping scoring", stacklevel=2)
-                continue
-            reports.append(
-                der(
-                    ref_by_rec[rec],
-                    hypotheses[rec],
-                    collar=config.metrics.collar,
-                    regions=uem_by_rec.get(rec),
-                    score_overlap=config.metrics.score_overlap,
-                )
-            )
-        summary_rows = list(reports) + [aggregate(reports)]
-        if core_list is not None:
-            summary_rows.append(aggregate(reports, name="CORE", include=core_list))
-        text = format_report(summary_rows)
-        if domain_map:
-            text += "\n" + _domain_table(reports, domain_map)
-        (out / "report.txt").write_text(text)
-        tsv_lines = ["\t".join(row) for row in report_rows(summary_rows)]
-        (out / "report.tsv").write_text("\n".join(tsv_lines) + "\n")
+    if config.reference_rttm:
+        write_report(out, *score_corpus(hypotheses, config, core_list, domain_map))
     return manifest
+
+
+def score_corpus(
+    hypotheses: dict[str, Annotation],
+    config: PipelineConfig,
+    core_list: set[str] | None = None,
+    domain_map: dict[str, str] | None = None,
+) -> tuple[list[DERReport], str]:
+    """Score hypotheses against the configured reference and UEM.
+
+    Returns the report rows (one per scored recording in id order, then
+    ``ALL`` and, with a core list, ``CORE``) and the report text, which ends
+    with a per-domain table when a domain map is given.  A recording without
+    a reference is skipped with a warning; an empty hypothesis scores as all
+    missed speech.
+    """
+    if not config.reference_rttm:
+        raise ConfigError("scoring requires reference_rttm in the config")
+    references = _load_per_recording(config.reference_rttm, parse_rttm)
+    regions = _load_per_recording(config.uem, parse_uem)
+    reports: list[DERReport] = []
+    for rec in sorted(hypotheses):
+        if rec not in references:
+            warnings.warn(f"no reference for {rec}; skipping scoring", stacklevel=2)
+            continue
+        reports.append(
+            der(
+                references[rec],
+                hypotheses[rec],
+                collar=config.metrics.collar,
+                regions=regions.get(rec),
+                score_overlap=config.metrics.score_overlap,
+            )
+        )
+    rows = reports + [aggregate(reports)]
+    if core_list is not None:
+        rows.append(aggregate(reports, name="CORE", include=core_list))
+    text = format_report(rows)
+    if domain_map:
+        text += "\n" + _domain_table(reports, domain_map)
+    return rows, text
+
+
+def write_report(output_dir: str | Path, rows: list[DERReport], text: str) -> None:
+    """Write ``report.txt`` (the report text) and ``report.tsv`` (the rows)."""
+    out = Path(output_dir)
+    (out / "report.txt").write_text(text)
+    (out / "report.tsv").write_text("\n".join("\t".join(row) for row in report_rows(rows)) + "\n")
 
 
 def synthesize_corpus(
@@ -782,8 +807,6 @@ def synthesize_corpus(
         "sad_rttm": "sad.rttm",
         "reference_rttm": "ref.rttm",
         "route_override": "wideband",
-        "window_size": float(layout.window_size),
-        "window_shift": float(layout.window_shift),
         "sad_gating": True,
         "merge_gap": 0.0,
         "seed": seed,

@@ -30,7 +30,16 @@ import scipy.ndimage
 from scipy.special import logsumexp
 
 from . import container
-from .annotations import Annotation, ScoringRegions, Segment, crop, speech_timeline
+from .annotations import (
+    Annotation,
+    RTTMParseError,
+    ScoringRegions,
+    Segment,
+    crop,
+    disjoint_intervals,
+    read_fields,
+    speech_timeline,
+)
 from .container import FormatError
 from .embeddings import EmbeddingSequence
 from .scoring import NumericalError, PLDAModel
@@ -62,8 +71,6 @@ class VBxConfig:
     """
 
     loop_probability: float = 0.8
-    lda_dim: int = 220
-    plda_interpolation_alpha: float = 0.5
     max_iterations: int = 40
     convergence_tolerance: float = 1e-6
     acoustic_scale: float = 1.0
@@ -72,16 +79,12 @@ class VBxConfig:
     def __post_init__(self):
         if not 0.0 < self.loop_probability < 1.0:
             raise ValueError("loop_probability must lie in (0, 1)")
-        if not 0.0 <= self.plda_interpolation_alpha <= 1.0:
-            raise ValueError("plda_interpolation_alpha must lie in [0, 1]")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.convergence_tolerance <= 0:
             raise ValueError("convergence_tolerance must be > 0")
         if self.acoustic_scale <= 0 or self.speaker_prior_scale <= 0:
             raise ValueError("scales must be > 0")
-        if self.lda_dim < 1:
-            raise ValueError("lda_dim must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -190,24 +193,18 @@ class OverlapRegions:
 
 def parse_overlap_regions(text: str) -> list[OverlapRegions]:
     """Parse ``OVL <recording> 1 <onset> <duration>`` lines."""
-    by_rec: dict[str, list[tuple[float, float]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(("#", ";;")):
-            continue
-        fields = line.split()
-        if fields[0] != "OVL":
-            continue
-        if len(fields) != 5:
-            raise ValueError(f"line {lineno}: expected 5 fields on OVL line, got {len(fields)}")
-        try:
-            onset, duration = float(fields[3]), float(fields[4])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric overlap bounds") from None
-        if duration <= 0:
-            raise ValueError(f"line {lineno}: overlap duration must be > 0")
-        by_rec.setdefault(fields[1], []).append((onset, onset + duration))
-    return [OverlapRegions(rec, tuple(ivs)) for rec, ivs in sorted(by_rec.items())]
+    by_rec: dict[str, list[tuple[float, float, int]]] = {}
+    for lineno, fields, (onset, duration) in read_fields(text, "OVL", 5, (3, 4)):
+        # a duration too small to move the onset is zero as far as intervals go
+        if not onset + duration > onset:
+            raise RTTMParseError(f"overlap duration must be > 0, got {duration}", lineno)
+        if onset < 0:
+            raise RTTMParseError(f"overlap onset must be >= 0, got {onset}", lineno)
+        by_rec.setdefault(fields[1], []).append((onset, onset + duration, lineno))
+    return [
+        OverlapRegions(rec, disjoint_intervals(spans, "OVL"))
+        for rec, spans in sorted(by_rec.items())
+    ]
 
 
 def write_overlap_regions(regions: list[OverlapRegions] | OverlapRegions) -> str:

@@ -11,8 +11,12 @@ import itertools
 import math
 
 import numpy as np
+import scipy.optimize
 import scipy.special
 import scipy.stats
+
+from diarkit.annotations import Annotation, ScoringRegions
+from diarkit.metrics import DERReport
 
 
 def truncated_path_sum(P: np.ndarray, members, z: float, max_len: int) -> float:
@@ -268,3 +272,175 @@ def hmm_posterior_by_enumeration(pi, A, B) -> tuple[np.ndarray, float]:
         for t, s in enumerate(seq):
             gamma[t, s] += p
     return gamma / evidence, float(np.log(evidence))
+
+
+# ---------------------------------------------------------------------------
+# DER, JER and speaker mapping as three separate passes: each function builds
+# its own frame grids, region mask and Hungarian assignment, and the DER
+# calls the JER, which builds them all again.  The library computes all three
+# from one set of grids; these are the reference it must match exactly.
+
+FRAME = 0.01  # scoring grid in seconds
+
+
+def _frame(t: float) -> int:
+    """Snap a time to the frame grid, rounding half-up."""
+    return int(math.floor(t * 100.0 + 0.5))
+
+
+def _speaker_frames(annotation: Annotation, speakers: list[str], n_frames: int) -> np.ndarray:
+    grid = np.zeros((len(speakers), n_frames), dtype=bool)
+    index = {s: k for k, s in enumerate(speakers)}
+    for seg in annotation.segments:
+        a, b = _frame(seg.onset), _frame(seg.offset)
+        if b > a:
+            grid[index[seg.speaker], a:b] = True
+    return grid
+
+
+def _scored_mask(
+    reference: Annotation,
+    n_frames: int,
+    collar: float,
+    regions: ScoringRegions | None,
+    score_overlap: bool,
+    ref_grid: np.ndarray,
+    apply_collar: bool = True,
+) -> np.ndarray:
+    mask = np.zeros(n_frames, dtype=bool)
+    if regions is not None:
+        for on, off in regions.intervals:
+            mask[_frame(on) : _frame(off)] = True
+    else:
+        mask[:] = True
+    if apply_collar and collar > 0.0:
+        for seg in reference.segments:
+            for boundary in (seg.onset, seg.offset):
+                a = max(_frame(boundary - collar), 0)
+                b = _frame(boundary + collar)
+                mask[a:b] = False
+    if not score_overlap:
+        mask &= ref_grid.sum(axis=0) < 2
+    return mask
+
+
+def optimal_mapping_by_separate_grids(reference: Annotation, hypothesis: Annotation, regions: ScoringRegions | None = None) -> tuple[tuple[str, str], ...]:
+    """One-to-one speaker mapping maximizing total frame agreement.
+
+    Pairs with zero shared time are dropped, so speakers may stay unmapped.
+    Speakers are considered in sorted label order, which makes the choice
+    among equal-agreement optima deterministic.
+    """
+    ref_spk = list(reference.speakers())
+    hyp_spk = list(hypothesis.speakers())
+    if not ref_spk or not hyp_spk:
+        return ()
+    n_frames = max(_frame(reference.extent()), _frame(hypothesis.extent()), 1)
+    R = _speaker_frames(reference, ref_spk, n_frames)
+    H = _speaker_frames(hypothesis, hyp_spk, n_frames)
+    if regions is not None:
+        mask = np.zeros(n_frames, dtype=bool)
+        for on, off in regions.intervals:
+            mask[_frame(on) : _frame(off)] = True
+        R = R & mask
+        H = H & mask
+    shared = R.astype(np.int64) @ H.astype(np.int64).T
+    rows, cols = scipy.optimize.linear_sum_assignment(-shared)
+    return tuple(
+        (ref_spk[i], hyp_spk[j])
+        for i, j in zip(rows, cols)
+        if shared[i, j] > 0
+    )
+
+
+def der_by_separate_grids(
+    reference: Annotation,
+    hypothesis: Annotation,
+    collar: float = 0.0,
+    regions: ScoringRegions | None = None,
+    score_overlap: bool = True,
+) -> DERReport:
+    """Frame-grid diarization error rate with the optimal speaker mapping.
+
+    ``der = (missed + false_alarm + confusion) / scored_speech`` where
+    scored_speech is total reference speaker time in the scored regions.
+    An empty scored reference gives der = None (undefined, not zero).
+    """
+    if collar < 0:
+        raise ValueError(f"collar must be >= 0, got {collar}")
+    ref_spk = list(reference.speakers())
+    hyp_spk = list(hypothesis.speakers())
+    n_frames = max(_frame(reference.extent()), _frame(hypothesis.extent()), 1)
+    R = _speaker_frames(reference, ref_spk, n_frames)
+    H = _speaker_frames(hypothesis, hyp_spk, n_frames)
+    scored = _scored_mask(reference, n_frames, collar, regions, score_overlap, R)
+
+    Rs = R[:, scored]
+    Hs = H[:, scored]
+    shared = Rs.astype(np.int64) @ Hs.astype(np.int64).T
+    if shared.size:
+        rows, cols = scipy.optimize.linear_sum_assignment(-shared)
+        pairs = [(i, j) for i, j in zip(rows, cols) if shared[i, j] > 0]
+    else:
+        pairs = []
+    mapping = tuple((ref_spk[i], hyp_spk[j]) for i, j in pairs)
+
+    n_ref = Rs.sum(axis=0).astype(np.int64)
+    n_hyp = Hs.sum(axis=0).astype(np.int64)
+    n_correct = np.zeros(Rs.shape[1], dtype=np.int64)
+    for i, j in pairs:
+        n_correct += Rs[i] & Hs[j]
+
+    missed = float(np.maximum(n_ref - n_hyp, 0).sum()) * FRAME
+    false_alarm = float(np.maximum(n_hyp - n_ref, 0).sum()) * FRAME
+    confusion = float((np.minimum(n_ref, n_hyp) - n_correct).sum()) * FRAME
+    scored_speech = float(n_ref.sum()) * FRAME
+    rate = (missed + false_alarm + confusion) / scored_speech if scored_speech > 0 else None
+    jaccard = jer_by_separate_grids(reference, hypothesis, regions=regions)
+    return DERReport(
+        recording_id=reference.recording_id,
+        scored_speech=scored_speech,
+        missed=missed,
+        false_alarm=false_alarm,
+        confusion=confusion,
+        der=rate,
+        jer=jaccard,
+        speaker_map=mapping,
+    )
+
+
+def jer_by_separate_grids(
+    reference: Annotation,
+    hypothesis: Annotation,
+    regions: ScoringRegions | None = None,
+) -> float | None:
+    """Mean per-reference-speaker Jaccard error under the optimal mapping."""
+    ref_spk = list(reference.speakers())
+    if not ref_spk:
+        return None
+    hyp_spk = list(hypothesis.speakers())
+    n_frames = max(_frame(reference.extent()), _frame(hypothesis.extent()), 1)
+    R = _speaker_frames(reference, ref_spk, n_frames)
+    H = _speaker_frames(hypothesis, hyp_spk, n_frames)
+    if regions is not None:
+        mask = np.zeros(n_frames, dtype=bool)
+        for on, off in regions.intervals:
+            mask[_frame(on) : _frame(off)] = True
+        R &= mask
+        H &= mask
+    if hyp_spk:
+        shared = R.astype(np.int64) @ H.astype(np.int64).T
+        rows, cols = scipy.optimize.linear_sum_assignment(-shared)
+        match = {int(i): int(j) for i, j in zip(rows, cols) if shared[i, j] > 0}
+    else:
+        match = {}
+    errors = []
+    for i in range(len(ref_spk)):
+        if i not in match:
+            errors.append(1.0)
+            continue
+        h = H[match[i]]
+        union = float((R[i] | h).sum())
+        inter = float((R[i] & h).sum())
+        errors.append(1.0 - inter / union if union > 0 else 1.0)
+    return float(np.mean(errors))

@@ -16,6 +16,7 @@ from diarkit.annotations import (
     write_rttm,
     write_uem,
 )
+from diarkit.reseg import parse_overlap_regions
 
 
 def random_annotation(rng, rec="rec", n_max=12):
@@ -259,3 +260,49 @@ def test_rttm_round_trip_property(raw_segments):
         assert abs(a.onset - b.onset) < 5e-4
         assert abs(a.duration - b.duration) < 5e-4
         assert a.speaker == b.speaker
+
+
+# well-formed input for each line parser: several lines per recording, so a
+# damaged number can also make two intervals overlap
+_WELL_FORMED = {
+    "rttm": (
+        parse_rttm,
+        "SPEAKER rec 1 0.500 2.250 <NA> <NA> alice <NA> <NA>\n"
+        ";; note\n"
+        "SPEAKER rec 1 3.000 1.000 <NA> <NA> bob <NA> <NA>\n"
+        "SPEAKER other 1 0.000 4.125 <NA> <NA> alice <NA> <NA>\n",
+    ),
+    "uem": (
+        parse_uem,
+        "rec 1 0.000 5.000\nrec 1 6.000 9.500\n# comment\nother 1 1.250 2.000\n",
+    ),
+    "ovl": (
+        parse_overlap_regions,
+        "OVL rec 1 0.500 1.000\nOVL rec 1 4.000 0.750\nOVL other 1 2.000 0.250\n",
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_WELL_FORMED)),
+    cut=st.integers(0, 200),
+    damage=st.lists(
+        st.tuples(
+            st.integers(0, 199),
+            st.one_of(st.integers(0, 255), st.sampled_from(list(b"-.e9n0 \n#;"))),
+        ),
+        max_size=4,
+    ),
+)
+def test_line_parsers_raise_only_parse_errors_on_damaged_text(kind, cut, damage):
+    parse, text = _WELL_FORMED[kind]
+    data = bytearray(text.encode()[:cut])
+    for position, byte in damage:
+        if data:
+            data[position % len(data)] = byte
+    try:
+        parse(data.decode("utf-8", errors="replace"))
+    except RTTMParseError:
+        pass
+

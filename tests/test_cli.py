@@ -59,6 +59,39 @@ def test_synth_diarize_score_report_flow(tmp_path, capsys):
     assert first_line.split("\t") == ["recording", "scored", "miss", "fa", "conf", "der", "jer"]
 
 
+def test_report_reproduces_diarize_report_with_empty_hypothesis(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run_cli(
+        capsys, "synth", "--output", str(corpus), "--recordings", "2", "--duration", "30", "--seed", "5"
+    )[0] == 0
+    # move rec001's speech 1000 s past the end of the recording: no window is
+    # kept, so its hypothesis comes out empty
+    sad = corpus / "sad.rttm"
+    lines = []
+    for line in sad.read_text().splitlines():
+        fields = line.split()
+        if fields[1] == "rec001":
+            fields[3] = f"{float(fields[3]) + 1000.0:.3f}"
+        lines.append(" ".join(fields))
+    sad.write_text("\n".join(lines) + "\n")
+
+    config, run_dir = corpus / "config.yaml", tmp_path / "run"
+    assert run_cli(capsys, "diarize", "--config", str(config), "--output", str(run_dir))[0] == 0
+    assert (run_dir / "hyp" / "rec001.rttm").read_text() == ""
+    tsv, txt = (run_dir / "report.tsv").read_bytes(), (run_dir / "report.txt").read_bytes()
+    rec001 = next(row for row in tsv.decode().splitlines() if row.startswith("rec001\t"))
+    assert rec001.split("\t")[-2:] == ["1.0000", "1.0000"]
+
+    (run_dir / "report.txt").unlink()
+    (run_dir / "report.tsv").unlink()
+    assert run_cli(capsys, "report", "--config", str(config), "--output", str(run_dir))[0] == 0
+    assert (run_dir / "report.tsv").read_bytes() == tsv
+    assert (run_dir / "report.txt").read_bytes() == txt
+    rc, out, err = run_cli(capsys, "score", "--config", str(config), "--output", str(run_dir))
+    assert rc == 0
+    assert out.encode() == txt
+
+
 def test_route_prints_one_line_per_recording(synthetic_corpus, tmp_path, capsys):
     out_dir = tmp_path / "routes"
     rc, out, err = run_cli(

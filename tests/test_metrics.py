@@ -1,5 +1,6 @@
 """Tests for diarization and Jaccard error rates against hand-worked cases."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from diarkit.annotations import Annotation, ScoringRegions, Segment
 from diarkit.metrics import (
+    DERReport,
     aggregate,
     der,
     format_report,
@@ -15,7 +17,13 @@ from diarkit.metrics import (
     report_rows,
 )
 
-from oracles import brute_force_best_mapping, frame_error_oracle
+from oracles import (
+    brute_force_best_mapping,
+    der_by_separate_grids,
+    frame_error_oracle,
+    jer_by_separate_grids,
+    optimal_mapping_by_separate_grids,
+)
 
 
 def ann(rec, *triples):
@@ -373,6 +381,51 @@ def test_optimal_mapping_drops_zero_share_pairs():
     ref = ann("rec", (0.0, 5.0, "A"), (5.0, 5.0, "B"))
     hyp = ann("rec", (0.0, 5.0, "X"), (20.0, 1.0, "Y"))
     assert optimal_mapping(ref, hyp) == (("A", "X"),)
+
+
+def random_regions(rng, rec, max_extent=35.0):
+    # sorted distinct cut points paired up: disjoint intervals of positive length
+    n_cuts = 2 * int(rng.integers(1, 4))
+    cuts = np.sort(rng.choice(int(max_extent * 100), size=n_cuts, replace=False)) / 100.0
+    return ScoringRegions(rec, tuple(zip(cuts[0::2].tolist(), cuts[1::2].tolist())))
+
+
+def coarse_annotation(rng, rec, n_speakers):
+    # whole-second turns: many equal shared-frame counts, so mapping ties occur
+    segments = [
+        (float(rng.integers(0, 20)), float(rng.integers(1, 6)), f"s{k}")
+        for k in range(n_speakers)
+        for _ in range(int(rng.integers(1, 3)))
+    ]
+    return ann(rec, *segments)
+
+
+def test_der_jer_mapping_match_separate_grid_reference():
+    rng = np.random.default_rng(23)
+    empty = Annotation("rec", ())
+    one = ann("rec", (1.0, 4.0, "A"), (3.0, 2.0, "B"))
+    pairs = [(empty, empty), (empty, one), (one, empty)]
+    for k in range(120):
+        make = coarse_annotation if k % 3 == 0 else random_annotation
+        pairs.append((make(rng, "rec", int(rng.integers(0, 5))), make(rng, "rec", int(rng.integers(0, 6)))))
+    checked = 0
+    for ref, hyp in pairs:
+        for collar, with_regions, score_overlap in itertools.product(
+            (0.0, 0.25), (False, True), (True, False)
+        ):
+            regions = random_regions(rng, "rec") if with_regions else None
+            got = der(ref, hyp, collar=collar, regions=regions, score_overlap=score_overlap)
+            want = der_by_separate_grids(
+                ref, hyp, collar=collar, regions=regions, score_overlap=score_overlap
+            )
+            for name in DERReport.__dataclass_fields__:
+                assert getattr(got, name) == getattr(want, name), (name, ref, hyp, regions)
+            assert jer(ref, hyp, regions=regions) == jer_by_separate_grids(ref, hyp, regions=regions)
+            assert optimal_mapping(ref, hyp, regions) == optimal_mapping_by_separate_grids(
+                ref, hyp, regions
+            )
+            checked += 1
+    assert checked == len(pairs) * 8
 
 
 # ---------------------------------------------------------------------------

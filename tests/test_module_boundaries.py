@@ -1,0 +1,65 @@
+"""Source-tree check: no diarkit module reaches into another module's private names."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "diarkit"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, text) of every private name imported from, or looked up on, another module."""
+    found = []
+    modules = set()  # local names bound to imported modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if _private(alias.name) or any(map(_private, (node.module or "").split("."))):
+                    found.append((node.lineno, f"from {source} import {alias.name}"))
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if any(map(_private, alias.name.split("."))):
+                    found.append((node.lineno, f"import {alias.name}"))
+                modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return found
+
+
+def test_no_module_uses_another_modules_private_names():
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) >= 10
+    offenders = [
+        f"{path.name}:{line}: {text}"
+        for path in sources
+        for line, text in _private_uses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert offenders == []
+
+
+def test_private_name_check_sees_each_form():
+    tree = ast.parse(
+        "from .pipeline import _domain_table\n"
+        "from . import container\n"
+        "import numpy as np\n"
+        "from . import __version__\n"
+        "x = container._read(np._core)\n"
+        "y = container.read_sidecar\n"
+    )
+    assert _private_uses(tree) == [
+        (1, "from .pipeline import _domain_table"),
+        (5, "container._read"),
+        (5, "np._core"),
+    ]

@@ -37,8 +37,6 @@ from diarkit.reseg import PosteriorMatrix, parse_overlap_regions
 
 def test_config_defaults():
     config = PipelineConfig.from_mapping({})
-    assert config.window_size == 1.5
-    assert config.window_shift == 0.25
     assert config.sad_gating is True
     assert config.seed == 0
     assert config.scoring.kind == "plda"

@@ -418,16 +418,12 @@ def test_vbx_validation():
 def test_vbx_config_validation():
     with pytest.raises(ValueError, match="loop_probability"):
         VBxConfig(loop_probability=1.0)
-    with pytest.raises(ValueError, match="alpha"):
-        VBxConfig(plda_interpolation_alpha=-0.1)
     with pytest.raises(ValueError, match="max_iterations"):
         VBxConfig(max_iterations=0)
     with pytest.raises(ValueError, match="convergence_tolerance"):
         VBxConfig(convergence_tolerance=0.0)
     with pytest.raises(ValueError, match="scales"):
         VBxConfig(acoustic_scale=0.0)
-    with pytest.raises(ValueError, match="lda_dim"):
-        VBxConfig(lda_dim=0)
 
 
 # ---------------------------------------------------------------------------
