@@ -210,10 +210,6 @@ def read_rttm_file(path: str | Path) -> list[Annotation]:
     return parse_rttm(Path(path).read_text())
 
 
-def write_rttm_file(path: str | Path, annotations) -> None:
-    Path(path).write_text(write_rttm(annotations))
-
-
 def merge_adjacent(annotation: Annotation, gap: float = 0.0) -> Annotation:
     """Fuse same-speaker segments whose inter-segment gap is <= gap seconds.
 

@@ -30,7 +30,12 @@ maximum incremental path integral", Pattern Recognition 46(11), 2013.)
 
 A plain average-linkage agglomerative baseline over raw scores provides the
 stopping-point estimate (cluster count at a threshold) and a comparison
-route.
+route.  Average linkage is reducible, so the nearest-neighbor-chain
+algorithm builds its dendrogram in O(n^2) time on the condensed upper
+triangle (scipy's implementation of D. Muellner, "Modern hierarchical,
+agglomerative clustering algorithms", arXiv 1109.2378, 2011).  On ties it
+can merge in another order than a greedy best-pair scan; ``ahc_cluster``
+states the rule.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import squareform
 
 from .scoring import NumericalError, SimilarityMatrix, sigmoid_weights
 
@@ -592,8 +599,19 @@ def ahc_cluster(
     """Average-linkage agglomerative clustering on raw similarity scores.
 
     Exactly one stopping rule must be given: merge while the best pair's
-    linkage is >= threshold, or merge until ``num_clusters`` remain.  Ties
-    pick the lexicographically smallest index pair.
+    linkage is >= threshold, or merge until ``num_clusters`` remain.
+
+    The dendrogram comes from scipy's nearest-neighbor-chain linkage on the
+    condensed negated scores.  Negation is exact, so each merge height is
+    the negated similarity-space linkage.  The tree is cut by merge order:
+    the merges sorted by height (stably), then the first ones whose linkage
+    reaches the threshold, or the first n - ``num_clusters``.  Ties follow
+    the chain.  A cluster's index is its largest member; the chain starts at
+    the live cluster of lowest index and steps to the best-linked neighbor
+    of lowest index, staying with the previous chain member when that one is
+    among the best; equal-linkage merges keep the order the chain made them
+    in.  So on tied linkages the partition can differ from a greedy scan
+    that merges the lexicographically smallest best pair first.
     """
     if (threshold is None) == (num_clusters is None):
         raise ValueError("give exactly one of threshold or num_clusters")
@@ -603,45 +621,21 @@ def ahc_cluster(
     if n == 1:
         return Partition.from_labels([0])
 
-    link = sim.scores.astype(float)  # always a copy: the loop overwrites it
-    np.fill_diagonal(link, -np.inf)
-    active = np.ones(n, dtype=bool)
-    sizes = np.ones(n)
-    parents = {i: [i] for i in range(n)}
-    row_best = link.max(axis=1)
-    row_arg = link.argmax(axis=1)
-    remaining = n
-
-    stop_count = num_clusters if num_clusters is not None else 1
-    while remaining > stop_count:
-        i = int(np.argmax(np.where(active, row_best, -np.inf)))
-        best = row_best[i]
-        if threshold is not None and best < threshold:
-            break
-        j = int(row_arg[i])
-        if j < i:
-            i, j = j, i
-        # average linkage: merged-to-k linkage is the size-weighted mean
-        merged = (sizes[i] * link[i] + sizes[j] * link[j]) / (sizes[i] + sizes[j])
-        link[i, :] = merged
-        link[:, i] = merged
-        link[i, i] = -np.inf
-        link[j, :] = -np.inf
-        link[:, j] = -np.inf
-        sizes[i] += sizes[j]
-        parents[i].extend(parents.pop(j))
-        active[j] = False
-        remaining -= 1
-        # refresh cached row maxima wherever the merge could have moved them;
-        # row i itself was fully rewritten, so it is always stale
-        dirty = active & ((row_arg == i) | (row_arg == j) | (link[:, i] >= row_best))
-        dirty[i] = True
-        idx = np.flatnonzero(dirty)
-        block = link[idx]
-        row_best[idx] = block.max(axis=1)
-        row_arg[idx] = block.argmax(axis=1)
-
-    return Partition.from_clusters(parents.values())
+    dist = squareform(sim.scores, checks=False)
+    np.negative(dist, out=dist)
+    tree = linkage(dist, method="average")
+    if threshold is not None:
+        merges = int(np.searchsorted(tree[:, 2], -threshold, side="right"))
+    else:
+        merges = n - num_clusters
+    # merge r joins its two children into node n + r
+    children = tree[:merges, :2].astype(np.intp).ravel()
+    parents = np.repeat(np.arange(n, n + merges), 2)
+    joins = scipy.sparse.coo_matrix(
+        (np.ones(2 * merges), (children, parents)), shape=(n + merges, n + merges)
+    )
+    _, labels = scipy.sparse.csgraph.connected_components(joins, directed=False)
+    return Partition.from_labels(labels[:n])
 
 
 def estimate_num_speakers(

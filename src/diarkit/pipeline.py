@@ -18,7 +18,7 @@ import hashlib
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -256,8 +256,8 @@ class PipelineConfig:
                 if value is not None and not Path(value).is_absolute():
                     section_updates[key] = str((base_dir / value).resolve())
             if section_updates:
-                updates[section_name] = _replace_frozen(section, section_updates)
-        return _replace_frozen(self, updates) if updates else self
+                updates[section_name] = replace(section, **section_updates)
+        return replace(self, **updates) if updates else self
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
@@ -300,12 +300,6 @@ class PipelineConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_dump().encode()).hexdigest()
-
-
-def _replace_frozen(instance, updates: dict):
-    values = {f.name: getattr(instance, f.name) for f in dataclass_fields(instance)}
-    values.update(updates)
-    return type(instance)(**values)
 
 
 @dataclass(frozen=True)
@@ -430,20 +424,19 @@ def windows_to_annotation(
 
 
 def _cluster_windows(
-    sub: EmbeddingSequence,
-    sim: SimilarityMatrix,
-    config: PipelineConfig,
+    sub: EmbeddingSequence, config: PipelineConfig, models: ModelSet
 ) -> Partition:
+    # scoring here and rebinding ``sim`` keeps one n x n score matrix alive
+    # next to the graph's W and P at the k-NN step, not three
+    sim = _score_recording(sub, config, models)
     n = len(sub)
     min_size = config.clustering.min_cluster_windows
     target = estimate_num_speakers(sim, config.clustering.ahc_threshold, min_size)
     if config.clustering.method == "ahc":
         part = ahc_cluster(sim, num_clusters=min(target, n))
         return absorb_small_clusters(part, sim, min_size)
-    raw = sim.scores
     if sim.kind == "plda" and config.scoring.standardize_plda_scores:
-        raw = standardize_scores(raw)
-        sim = SimilarityMatrix(sim.recording_id, raw, kind="plda")
+        sim = SimilarityMatrix(sim.recording_id, standardize_scores(sim.scores), kind="plda")
     graph = build_knn_graph(
         sim,
         num_neighbors=min(config.clustering.num_neighbors, n - 1),
@@ -497,8 +490,7 @@ def run_wideband(
         ann = windows_to_annotation(seq.recording_id, sub.windows, np.zeros(1, dtype=int), speech)
         return merge_adjacent(ann, config.merge_gap)
 
-    sim = _score_recording(sub, config, models)
-    partition = _cluster_windows(sub, sim, config)
+    partition = _cluster_windows(sub, config, models)
 
     posterior = None
     if config.vbx.enabled:

@@ -366,12 +366,15 @@ def standardize_scores(scores: np.ndarray) -> np.ndarray:
     S = np.asarray(scores, dtype=float)
     if S.shape[0] < 2:
         return np.zeros_like(S)
-    off = ~np.eye(S.shape[0], dtype=bool)
-    mu = S[off].mean()
-    sd = S[off].std()
+    off = S[~np.eye(S.shape[0], dtype=bool)]
+    mu = off.mean()
+    sd = off.std()
+    del off
+    out = S - mu
     if sd < 1e-12:
-        return S - mu
-    return (S - mu) / sd
+        return out
+    out /= sd
+    return out
 
 
 def ground_truth_plda(spec: SyntheticSpec) -> PLDAModel:

@@ -16,6 +16,7 @@ import scipy.special
 import scipy.stats
 
 from diarkit.annotations import Annotation, ScoringRegions
+from diarkit.clustering import Partition
 from diarkit.metrics import DERReport
 
 
@@ -174,6 +175,106 @@ def best_pair_by_scan(table: np.ndarray) -> tuple[int, int]:
                 best = table[i, j]
                 arg = (i, j)
     return arg
+
+
+def ahc_by_greedy_loop(sim, threshold=None, num_clusters=None) -> Partition:
+    """Average linkage by a greedy best-pair scan over an n x n linkage table.
+
+    The ``ahc_cluster`` implementation before the nearest-neighbor chain,
+    kept verbatim: each step merges the pair of highest linkage, ties going
+    to the lexicographically smallest index pair, and Lance-Williams updates
+    the merged row and column in place.
+    """
+    if (threshold is None) == (num_clusters is None):
+        raise ValueError("give exactly one of threshold or num_clusters")
+    n = sim.scores.shape[0]
+    if num_clusters is not None and not 1 <= num_clusters <= n:
+        raise ValueError(f"num_clusters must lie in [1, {n}]")
+    if n == 1:
+        return Partition.from_labels([0])
+
+    link = sim.scores.astype(float)  # always a copy: the loop overwrites it
+    np.fill_diagonal(link, -np.inf)
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n)
+    parents = {i: [i] for i in range(n)}
+    row_best = link.max(axis=1)
+    row_arg = link.argmax(axis=1)
+    remaining = n
+
+    stop_count = num_clusters if num_clusters is not None else 1
+    while remaining > stop_count:
+        i = int(np.argmax(np.where(active, row_best, -np.inf)))
+        best = row_best[i]
+        if threshold is not None and best < threshold:
+            break
+        j = int(row_arg[i])
+        if j < i:
+            i, j = j, i
+        # average linkage: merged-to-k linkage is the size-weighted mean
+        merged = (sizes[i] * link[i] + sizes[j] * link[j]) / (sizes[i] + sizes[j])
+        link[i, :] = merged
+        link[:, i] = merged
+        link[i, i] = -np.inf
+        link[j, :] = -np.inf
+        link[:, j] = -np.inf
+        sizes[i] += sizes[j]
+        parents[i].extend(parents.pop(j))
+        active[j] = False
+        remaining -= 1
+        # refresh cached row maxima wherever the merge could have moved them;
+        # row i itself was fully rewritten, so it is always stale
+        dirty = active & ((row_arg == i) | (row_arg == j) | (link[:, i] >= row_best))
+        dirty[i] = True
+        idx = np.flatnonzero(dirty)
+        block = link[idx]
+        row_best[idx] = block.max(axis=1)
+        row_arg[idx] = block.argmax(axis=1)
+
+    return Partition.from_clusters(parents.values())
+
+
+def ahc_by_nn_chain(scores: np.ndarray, num_clusters: int) -> tuple[tuple[int, ...], ...]:
+    """Average linkage by a nearest-neighbor chain, one scalar at a time.
+
+    Distances are the negated scores.  The chain starts at the lowest-index
+    live cluster and steps to the nearest neighbor, the lowest index among
+    equals, unless the previous chain member is among the nearest; two
+    mutual neighbors merge into the higher index's slot.  Merges are then
+    sorted by height (stably) and the first n - num_clusters applied.
+    """
+    n = scores.shape[0]
+    dist = [[-float(scores[a, b]) for b in range(n)] for a in range(n)]
+    size = [1] * n
+    merges = []
+    chain: list[int] = []
+    for _ in range(n - 1):
+        if not chain:
+            chain = [next(v for v in range(n) if size[v])]
+        while True:
+            x = chain[-1]
+            y = chain[-2] if len(chain) > 1 else None
+            best = dist[x][y] if y is not None else math.inf
+            for v in range(n):
+                if size[v] and v != x and dist[x][v] < best:
+                    best, y = dist[x][v], v
+            if len(chain) > 1 and y == chain[-2]:
+                break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        merges.append((best, x, y))
+        nx, ny = size[x], size[y]
+        size[x], size[y] = 0, nx + ny
+        for v in range(n):
+            if size[v] and v != y:
+                d = (nx * dist[v][x] + ny * dist[v][y]) / (nx + ny)
+                dist[v][y] = dist[y][v] = d
+    merges.sort(key=lambda m: m[0])
+    uf = UnionFind(n)
+    for _, x, y in merges[: n - num_clusters]:
+        uf.union(x, y)
+    return tuple(tuple(c) for c in sorted(sorted(g) for g in uf.groups()))
 
 
 def joint_gaussian_llr(mean, between, within, xi, xj) -> float:

@@ -22,6 +22,8 @@ from diarkit.scoring import SimilarityMatrix
 
 from oracles import (
     UnionFind,
+    ahc_by_greedy_loop,
+    ahc_by_nn_chain,
     conditional_truncated_path_sum,
     enumerated_walk_sum,
     knn_graph_by_stable_sort,
@@ -714,6 +716,62 @@ def test_ahc_partition_is_valid():
         part = ahc_cluster(sim, threshold=float(rng.normal()))
         flat = sorted(v for c in part.clusters for v in c)
         assert flat == list(range(n))
+
+
+def cosine_matrix(rng, n, dim=8):
+    unit = rng.normal(size=(n, dim))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    scores = np.clip(unit @ unit.T, -1.0, 1.0)
+    np.fill_diagonal(scores, 1.0)
+    return SimilarityMatrix("rec", scores, kind="cosine")
+
+
+def test_ahc_matches_greedy_loop_on_tie_free_matrices():
+    rng = np.random.default_rng(28)
+    for n in (2, 3, 7, 40, 150, 400, 700):
+        for sim in (plda_matrix(rng, n), cosine_matrix(rng, n)):
+            off = sim.scores[~np.eye(n, dtype=bool)]
+            for thr in rng.uniform(off.min(), off.max(), size=3):
+                got = ahc_cluster(sim, threshold=float(thr))
+                assert got.clusters == ahc_by_greedy_loop(sim, threshold=float(thr)).clusters
+            for count in sorted({1, 2, max(1, n // 2), n}):
+                got = ahc_cluster(sim, num_clusters=count)
+                assert got.clusters == ahc_by_greedy_loop(sim, num_clusters=count).clusters
+
+
+def test_ahc_linkage_equal_to_threshold_merges():
+    # dyadic scores: the linkage of {0, 1} to {2} is exactly (0.25 + 0.5) / 2
+    scores = np.array(
+        [
+            [0.0, 0.75, 0.25],
+            [0.75, 0.0, 0.5],
+            [0.25, 0.5, 0.0],
+        ]
+    )
+    sim = SimilarityMatrix("rec", scores, kind="plda")
+    assert ahc_cluster(sim, threshold=0.75).clusters == ((0, 1), (2,))
+    assert ahc_cluster(sim, threshold=0.375).clusters == ((0, 1, 2),)
+    assert ahc_cluster(sim, threshold=np.nextafter(0.375, 1.0)).clusters == ((0, 1), (2,))
+    assert ahc_cluster(sim, threshold=np.nextafter(0.75, 1.0)).clusters == ((0,), (1,), (2,))
+
+
+def test_ahc_ties_follow_the_nearest_neighbor_chain():
+    # (1, 2) and (3, 4) tie at 5.  A greedy scan merges the smaller pair
+    # (1, 2) first; the chain starts at 0, steps to its best neighbor 3, then
+    # to 4, whose best is 3 again, so (3, 4) merges first.
+    scores = np.zeros((5, 5))
+    scores[1, 2] = scores[2, 1] = scores[3, 4] = scores[4, 3] = 5.0
+    scores[0, 3] = scores[3, 0] = 4.0
+    sim = SimilarityMatrix("rec", scores, kind="plda")
+    assert ahc_cluster(sim, num_clusters=4).clusters == ((0,), (1,), (2,), (3, 4))
+    assert ahc_by_greedy_loop(sim, num_clusters=4).clusters == ((0,), (1, 2), (3,), (4,))
+    # integer scores tie all over: every cut equals a scalar chain's, and at
+    # k = 4 the partition differs from the greedy scan's
+    raw = np.round(np.random.default_rng(29).normal(scale=3.0, size=(40, 40)))
+    sim = SimilarityMatrix("rec", raw + raw.T, kind="plda")
+    for count in range(1, 41):
+        assert ahc_cluster(sim, num_clusters=count).clusters == ahc_by_nn_chain(sim.scores, count)
+    assert ahc_cluster(sim, num_clusters=4).clusters != ahc_by_greedy_loop(sim, num_clusters=4).clusters
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for config handling, the per-recording routes and corpus runs."""
 
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from diarkit.metrics import der
 from diarkit.pipeline import (
     ConfigError,
     ManifestEntry,
+    ModelSet,
     PipelineConfig,
     RunManifest,
     run_corpus,
@@ -29,6 +31,7 @@ from diarkit.pipeline import (
     windows_to_annotation,
 )
 from diarkit.reseg import PosteriorMatrix, parse_overlap_regions
+from diarkit.scoring import ground_truth_plda
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +272,30 @@ def test_run_wideband_vbx_without_plda_is_config_error():
     config = PipelineConfig.from_mapping({"scoring": {"kind": "cosine", "cosine_pca_dim": 8}})
     with pytest.raises(ConfigError, match="PLDA"):
         run_wideband(seq, reference, config)
+
+
+def test_run_wideband_peak_memory_below_four_score_matrices():
+    # allocation sizes are deterministic, so the traced peak is too: the
+    # scores, W and P are the three n x n arrays the k-NN step needs
+    spec = SyntheticSpec.well_separated(
+        4, 16, separation=10.0, duration=150.0, seed=7, recording_id="mem"
+    )
+    seq, _, _ = generate_synthetic(spec)
+    plda = ground_truth_plda(spec)
+    models = ModelSet(plda_score=plda, plda_vbx=plda)
+    config = PipelineConfig()
+    assert config.scoring.kind == "plda" and config.clustering.method == "pic"
+    n = len(seq)
+    assert n > 500
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        hyp = run_wideband(seq, None, config, models)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(hyp.speakers()) == 4
+    assert peak < 4 * n * n * 8
 
 
 def test_run_narrowband_decodes_and_merges():

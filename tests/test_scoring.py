@@ -349,6 +349,8 @@ def test_standardize_scores_moments():
     off = ~np.eye(20, dtype=bool)
     assert abs(out[off].mean()) < 1e-12
     assert np.isclose(out[off].std(), 1.0)
+    # the same operations in the same order as the plain expression
+    assert np.array_equal(out, (S - S[off].mean()) / S[off].std())
 
 
 def test_standardize_scores_degenerate():
