@@ -62,7 +62,7 @@ def main():
     sim = SimilarityMatrix("demo", -sq, "plda")
 
     graph = build_knn_graph(sim, num_neighbors=args.neighbors)
-    print(f"k-NN graph: {int((graph.weights > 0).sum())} directed edges, "
+    print(f"k-NN graph: {graph.weights.nnz} directed edges, "
           f"row sums of the transition matrix all "
           f"{graph.transition.sum(axis=1).min():.0f}")
 
@@ -93,8 +93,7 @@ def main():
         print("  (no walk crosses between unconnected clusters, so the gain is "
               "zero up to roundoff)")
 
-    params = PICParams(damping=z, num_neighbors=args.neighbors,
-                       target_clusters=args.groups)
+    params = PICParams(damping=z, target_clusters=args.groups)
     result, trace = pic_merge_trace(graph, params)
     print(f"\nmerge order down to {args.groups} clusters:")
     for step, (ca, cb) in enumerate(trace):

@@ -1,9 +1,9 @@
 """Graph-based agglomerative clustering of embedding windows.
 
-The main route builds a sparse k-nearest-neighbor graph whose edge weights
-are sigmoid-squashed similarity scores, turns it into a row-stochastic
-transition matrix P, and greedily merges clusters by the incremental path
-integral
+The main route builds a k-nearest-neighbor graph, held only as scipy CSR
+matrices, whose edge weights are sigmoid-squashed similarity scores, turns
+it into a row-stochastic transition matrix P, and greedily merges clusters
+by the incremental path integral
 
     S_C = (1 / |C|^2) * 1' (I - z P_C)^-1 1
 
@@ -70,23 +70,25 @@ __all__ = [
 @dataclass(frozen=True)
 class AffinityGraph:
     """k-NN graph: nonnegative weights with zero diagonal and the derived
-    row-stochastic transition matrix."""
+    row-stochastic transition matrix, copied into CSR without explicit zeros."""
 
-    weights: np.ndarray
-    transition: np.ndarray
-    num_neighbors: int
+    weights: scipy.sparse.csr_matrix
+    transition: scipy.sparse.csr_matrix
 
     def __post_init__(self):
-        W = np.asarray(self.weights, dtype=float)
-        P = np.asarray(self.transition, dtype=float)
+        W = scipy.sparse.csr_matrix(self.weights, dtype=float, copy=True)
+        P = scipy.sparse.csr_matrix(self.transition, dtype=float, copy=True)
+        for M in (W, P):
+            M.sum_duplicates()
+            M.eliminate_zeros()
         n = W.shape[0]
         if W.shape != (n, n) or P.shape != (n, n):
             raise ValueError("weights and transition must be square and same size")
-        if np.any(np.diag(W) != 0.0):
+        if W.diagonal().any():
             raise ValueError("self-weights must be zero")
-        if W.min(initial=0.0) < 0.0:
+        if W.data.min(initial=0.0) < 0.0:
             raise ValueError("edge weights must be nonnegative")
-        rowsum = P.sum(axis=1)
+        rowsum = np.asarray(P.sum(axis=1)).ravel()
         if np.abs(rowsum - 1.0).max(initial=0.0) > 1e-9:
             raise ValueError("transition rows must sum to 1")
         object.__setattr__(self, "weights", W)
@@ -148,9 +150,8 @@ class Partition:
 class PICParams:
     """Knobs for path-integral clustering.
 
-    ``damping`` is the z in the path integral; ``num_neighbors`` the graph's
-    K.  Neither is dictated by the method itself, so both live here as plain
-    configuration (defaults z = 0.01, K = 30).
+    ``damping`` is the z in the path integral.  The method does not dictate
+    it, so it lives here as plain configuration (default 0.01).
 
     ``affinity_floor`` stops merging early when the best pair's affinity is
     at or below it, even with more than ``target_clusters`` clusters left.
@@ -162,15 +163,12 @@ class PICParams:
     """
 
     damping: float = 0.01
-    num_neighbors: int = 30
     target_clusters: int = 1
     affinity_floor: float = float("-inf")
 
     def __post_init__(self):
         if not 0.0 < self.damping < 1.0:
             raise ValueError(f"damping must lie in (0, 1), got {self.damping}")
-        if self.num_neighbors < 1:
-            raise ValueError("num_neighbors must be >= 1")
         if self.target_clusters < 1:
             raise ValueError("target_clusters must be >= 1")
 
@@ -217,22 +215,30 @@ def build_knn_graph(
         if tied.size:
             part[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
         chosen[r0:r1] = np.sort(part, axis=1)
-    rows = np.repeat(np.arange(n), k)
-    cols = chosen.ravel()
-    w = sigmoid_weights(S[rows, cols], scale=scale, offset=offset).reshape(n, k)
-    W = np.zeros((n, n))
-    W[rows, cols] = w.ravel()
+    w = sigmoid_weights(np.take_along_axis(S, chosen, axis=1), scale=scale, offset=offset)
     totals = w.sum(axis=1)
     trans = np.empty_like(w)
     positive = totals > 0.0
     trans[positive] = w[positive] / totals[positive, None]
     trans[~positive] = 1.0 / k
-    P = np.zeros((n, n))
-    P[rows, cols] = trans.ravel()
-    return AffinityGraph(weights=W, transition=P, num_neighbors=k)
+    edges = (chosen.ravel(), np.arange(0, n * k + 1, k))
+    return AffinityGraph(
+        weights=scipy.sparse.csr_matrix((w.ravel(), *edges), shape=(n, n)),
+        transition=scipy.sparse.csr_matrix((trans.ravel(), *edges), shape=(n, n)),
+    )
 
 
-def _solve_restricted(P: np.ndarray, members: np.ndarray, z: float, rhs: np.ndarray) -> np.ndarray:
+def _restrict(P: scipy.sparse.csr_matrix, members: np.ndarray):
+    """P's entries among ``members`` in CSR order: local row, local column, value."""
+    local = np.full(P.shape[0], -1)
+    local[members] = np.arange(len(members))
+    row, pos = _csr_rows(P.indptr, members)
+    col = local[P.indices[pos]]
+    keep = col >= 0
+    return row[keep], col[keep], P.data[pos[keep]]
+
+
+def _solve_restricted(P, members: np.ndarray, z: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - z P_C) x = rhs on the restricted transition matrix.
 
     Small or slowly decaying systems use a dense solve.  Large systems whose
@@ -241,8 +247,10 @@ def _solve_restricted(P: np.ndarray, members: np.ndarray, z: float, rhs: np.ndar
     tail is provably under 1e-14 per entry; at the damping values used for
     clustering that takes a handful of matrix-vector products.
     """
-    sub = P[np.ix_(members, members)]
     m = len(members)
+    row, col, val = _restrict(P, members)
+    sub = np.zeros((m, m))
+    sub[row, col] = val
     rho = z * float(sub.sum(axis=1).max())
     if m <= 256 or rho >= 0.5:
         try:
@@ -286,9 +294,7 @@ def conditional_path_integral(graph: AffinityGraph, members, union_members, z: f
     return float(x[indicator > 0].sum()) / len(members) ** 2
 
 
-def _pair_gain(
-    P: np.ndarray, a: np.ndarray, b: np.ndarray, z: float, pi_a: float, pi_b: float
-) -> float:
+def _pair_gain(P, a: np.ndarray, b: np.ndarray, z: float, pi_a: float, pi_b: float) -> float:
     """Exact merge affinity of disjoint sorted clusters given their own path
     integrals: one solve on the union with both indicator right-hand sides."""
     union = np.union1d(a, b)
@@ -324,15 +330,14 @@ def init_partition(graph: AffinityGraph) -> Partition:
     lower index); a vertex with no positive weights keeps no outgoing edge.
     """
     W = graph.weights
-    n = len(graph)
-    best = np.argmax(W, axis=1)
-    rows = np.flatnonzero(W[np.arange(n), best] > 0.0)
-    adj = scipy.sparse.coo_matrix(
-        (np.ones(len(rows)), (rows, best[rows])), shape=(n, n)
-    ).tocsr()
-    _, labels = scipy.sparse.csgraph.connected_components(
-        adj, directed=True, connection="weak"
-    )
+    # stored weights are positive and columns ascend: a row's first stored max is its best
+    counts = np.diff(W.indptr)
+    rows = np.flatnonzero(counts)
+    top = np.maximum.reduceat(W.data, W.indptr[rows])
+    hits = np.flatnonzero(W.data == np.repeat(top, counts[rows]))
+    best = W.indices[hits[np.searchsorted(hits, W.indptr[rows])]]
+    adj = scipy.sparse.coo_matrix((np.ones(len(rows)), (rows, best)), shape=W.shape).tocsr()
+    _, labels = scipy.sparse.csgraph.connected_components(adj, directed=True, connection="weak")
     return Partition.from_labels(labels)
 
 
@@ -379,8 +384,7 @@ class _MergeEngine:
     def __init__(self, graph: AffinityGraph, z: float):
         self.graph = graph
         self.z = z
-        P = scipy.sparse.csr_matrix(graph.transition)
-        self._P = P
+        self._P = P = graph.transition
         self._PT = P.T.tocsr()
         self._src = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
         self._z2, self._z3 = z**2, z**3
@@ -419,8 +423,8 @@ class _MergeEngine:
         touches[labels[i_col]] = True
         return gain, peak, touches
 
-    def _walks_through(self, members, edges, labels, c, intra_out, intra_in, m):
-        """Walks from each cluster k back into k through cluster C (id c):
+    def _walks_through(self, members, edges, labels, intra_out, intra_in, m):
+        """Walks from each cluster k back into k through cluster C:
         the z-weighted length-2 and -3 mass, and the most a vertex of C
         sends into k."""
         (o_row, o_col, o_w, _), (i_row, i_col, i_w, _) = edges
@@ -439,13 +443,9 @@ class _MergeEngine:
 
         sends = per_vertex(o_cell, o_w)
         gets = per_vertex(i_cell, i_w)
-        inside = o_k == c
-        local = np.empty(len(labels), dtype=np.intp)
-        local[members] = np.arange(size)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(o_row[inside], minlength=size))])
-        P_CC = scipy.sparse.csr_matrix(
-            (o_w[inside], local[o_col[inside]], indptr), shape=(size, size)
-        )
+        row, col, val = _restrict(self._P, members)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=size))])
+        P_CC = scipy.sparse.csr_matrix((val, col, indptr), shape=(size, size))
         # k -> C -> C -> k and k -> C -> k -> k, then k -> k -> C -> k
         onward = P_CC @ sends + per_vertex(o_cell, o_w * intra_out[o_col])
         walk2 = (gets * sends).sum(axis=0)
@@ -523,7 +523,7 @@ class _MergeEngine:
                 if exact[i, j]:
                     break
                 table[i, j] = _pair_gain(
-                    self.graph.transition, clusters[i], clusters[j], self.z, pi_of(i), pi_of(j)
+                    P, clusters[i], clusters[j], self.z, pi_of(i), pi_of(j)
                 )
                 exact[i, j] = True
             if table[i, j] <= affinity_floor:
@@ -546,7 +546,7 @@ class _MergeEngine:
             intra_in[members] = np.bincount(i_row[inner], i_w[inner], len(members))
             gain_from, peak_in, touches = self._walks_from(members, edges, labels, intra, m)
             gain_via, peak_out = self._walks_through(
-                members, edges, labels, i, intra_out, intra_in, m
+                members, edges, labels, intra_out, intra_in, m
             )
             upper = self._bounds(gain_from, gain_via, peak_out, peak_in, sizes[i], sizes)
             row = np.where(dead, -np.inf, np.where(touches, upper, 0.0))
@@ -576,18 +576,13 @@ def pic_cluster(graph: AffinityGraph, params: PICParams) -> Partition:
     returned unchanged (with a warning when strictly fewer).
     Deterministic: identical inputs give identical labels.
     """
-    initial = init_partition(graph)
-    result, _ = _MergeEngine(graph, params.damping).run(
-        initial, params.target_clusters, params.affinity_floor
-    )
-    return result
+    return pic_merge_trace(graph, params)[0]
 
 
 def pic_merge_trace(graph: AffinityGraph, params: PICParams):
     """Like :func:`pic_cluster` but also returns the ordered merge pairs."""
-    initial = init_partition(graph)
     return _MergeEngine(graph, params.damping).run(
-        initial, params.target_clusters, params.affinity_floor
+        init_partition(graph), params.target_clusters, params.affinity_floor
     )
 
 

@@ -427,7 +427,7 @@ def _cluster_windows(
     sub: EmbeddingSequence, config: PipelineConfig, models: ModelSet
 ) -> Partition:
     # scoring here and rebinding ``sim`` keeps one n x n score matrix alive
-    # next to the graph's W and P at the k-NN step, not three
+    # at the k-NN step, next to the graph's O(nK) CSR matrices
     sim = _score_recording(sub, config, models)
     n = len(sub)
     min_size = config.clustering.min_cluster_windows
@@ -436,7 +436,10 @@ def _cluster_windows(
         part = ahc_cluster(sim, num_clusters=min(target, n))
         return absorb_small_clusters(part, sim, min_size)
     if sim.kind == "plda" and config.scoring.standardize_plda_scores:
-        sim = SimilarityMatrix(sim.recording_id, standardize_scores(sim.scores), kind="plda")
+        recording_id, scores = sim.recording_id, standardize_scores(sim.scores)
+        del sim  # the raw scores go before the validated copy is made
+        sim = SimilarityMatrix(recording_id, scores, kind="plda")
+        del scores
     graph = build_knn_graph(
         sim,
         num_neighbors=min(config.clustering.num_neighbors, n - 1),
@@ -445,7 +448,6 @@ def _cluster_windows(
     )
     params = PICParams(
         damping=config.clustering.damping,
-        num_neighbors=graph.num_neighbors,
         target_clusters=max(1, min(target, n)),
         affinity_floor=config.clustering.affinity_floor,
     )

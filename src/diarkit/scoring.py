@@ -368,7 +368,10 @@ def standardize_scores(scores: np.ndarray) -> np.ndarray:
         return np.zeros_like(S)
     off = S[~np.eye(S.shape[0], dtype=bool)]
     mu = off.mean()
-    sd = off.std()
+    # np.std's own steps, squared in place on this copy
+    off -= mu
+    off *= off
+    sd = np.sqrt(off.sum() / off.size)
     del off
     out = S - mu
     if sd < 1e-12:

@@ -101,7 +101,7 @@ def operating_point_graph(rng, num_neighbors=30):
 
 def has_one_way_pair(graph) -> bool:
     """Whether two initial clusters are joined by edges in one direction only."""
-    P = graph.transition
+    P = graph.transition.toarray()
     clusters = init_partition(graph).clusters
     return any(
         P[np.ix_(a, b)].any() and not P[np.ix_(b, a)].any()
@@ -120,7 +120,7 @@ def brute_force_pic_trace(graph, target, z):
     decide their order; ties then fall to the smallest index pair, matching
     the documented merge rule.
     """
-    P = graph.transition
+    P = graph.transition.toarray()
     clusters = [list(c) for c in init_partition(graph).clusters]
     trace = []
     while len(clusters) > target:
@@ -221,7 +221,7 @@ def test_criterion_01_path_integrals_match_enumeration(acceptance_log):
         n = int(rng.integers(6, 13))
         g = blocked_graph(rng, n, num_blocks=int(rng.integers(2, 4)))
         z = float(rng.choice([0.1, 0.5, 0.9]))
-        params = PICParams(damping=z, num_neighbors=3, target_clusters=1)
+        params = PICParams(damping=z, target_clusters=1)
         part, trace = pic_merge_trace(g, params)
         ref_part, ref_trace = brute_force_pic_trace(g, 1, z)
         if trace != ref_trace or part.clusters != ref_part.clusters:
@@ -232,7 +232,7 @@ def test_criterion_01_path_integrals_match_enumeration(acceptance_log):
     # loop's walk-sum bounds rather than exact solves rule out most pairs
     operating_merges = 0
     one_way = 0
-    params = PICParams(damping=0.01, num_neighbors=30, target_clusters=1)
+    params = PICParams(damping=0.01, target_clusters=1)
     for _ in range(3):
         g = operating_point_graph(rng)
         one_way += has_one_way_pair(g)

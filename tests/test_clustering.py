@@ -1,7 +1,10 @@
 """Tests for k-NN graph construction and both clustering routes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from diarkit.clustering import (
     AffinityGraph,
@@ -44,7 +47,7 @@ def graph_from_edges(n, edges):
     for a, b in edges:
         W[a, b] = W[b, a] = 1.0
     P = W / W.sum(axis=1, keepdims=True)
-    return AffinityGraph(weights=W, transition=P, num_neighbors=max(1, n - 1))
+    return AffinityGraph(weights=W, transition=P)
 
 
 def random_graph(rng, n, num_neighbors=None):
@@ -60,16 +63,15 @@ def random_graph(rng, n, num_neighbors=None):
 def test_affinity_graph_validation():
     eye = np.eye(2)
     with pytest.raises(ValueError, match="square"):
-        AffinityGraph(weights=np.zeros((2, 3)), transition=eye, num_neighbors=1)
+        AffinityGraph(weights=np.zeros((2, 3)), transition=eye)
     with pytest.raises(ValueError, match="self-weights"):
-        AffinityGraph(weights=np.eye(2), transition=eye, num_neighbors=1)
+        AffinityGraph(weights=np.eye(2), transition=eye)
     with pytest.raises(ValueError, match="nonnegative"):
-        AffinityGraph(weights=np.array([[0.0, -1.0], [1.0, 0.0]]), transition=eye, num_neighbors=1)
+        AffinityGraph(weights=np.array([[0.0, -1.0], [1.0, 0.0]]), transition=eye)
     with pytest.raises(ValueError, match="sum to 1"):
         AffinityGraph(
             weights=np.array([[0.0, 1.0], [1.0, 0.0]]),
             transition=np.full((2, 2), 0.3),
-            num_neighbors=1,
         )
 
 
@@ -94,22 +96,24 @@ def test_knn_k1_keeps_argmax_neighbor_only():
         ]
     )
     g = build_knn_graph(SimilarityMatrix("rec", scores, kind="plda"), num_neighbors=1)
+    W, P = g.weights.toarray(), g.transition.toarray()
     for i in range(4):
-        nonzero = np.flatnonzero(g.weights[i])
+        nonzero = np.flatnonzero(W[i])
         row = scores[i].copy()
         row[i] = -np.inf
         assert nonzero.tolist() == [int(np.argmax(row))]
-        assert g.transition[i, nonzero[0]] == 1.0
+        assert P[i, nonzero[0]] == 1.0
 
 
 def test_knn_full_density_and_row_sums():
     rng = np.random.default_rng(1)
     sim = plda_matrix(rng, 6)
     g = build_knn_graph(sim, num_neighbors=5)
+    W, P = g.weights.toarray(), g.transition.toarray()
     off_diag = ~np.eye(6, dtype=bool)
-    assert np.all(g.weights[off_diag] > 0.0)
-    assert np.all(np.diag(g.weights) == 0.0)
-    np.testing.assert_allclose(g.transition.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(W[off_diag] > 0.0)
+    assert np.all(np.diag(W) == 0.0)
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_knn_tie_breaks_toward_lower_index():
@@ -122,8 +126,9 @@ def test_knn_tie_breaks_toward_lower_index():
         ]
     )
     g = build_knn_graph(SimilarityMatrix("rec", scores, kind="plda"), num_neighbors=1)
-    assert np.flatnonzero(g.weights[0]).tolist() == [1]
-    assert np.flatnonzero(g.weights[3]).tolist() == [0]
+    W = g.weights.toarray()
+    assert np.flatnonzero(W[0]).tolist() == [1]
+    assert np.flatnonzero(W[3]).tolist() == [0]
 
 
 def test_knn_uniform_fallback_on_underflow():
@@ -131,11 +136,39 @@ def test_knn_uniform_fallback_on_underflow():
     scores = np.full((4, 4), -1e6)
     np.fill_diagonal(scores, 0.0)
     g = build_knn_graph(SimilarityMatrix("rec", scores, kind="plda"), num_neighbors=2)
-    assert np.all(g.weights == 0.0)
+    assert np.all(g.weights.toarray() == 0.0)
     for i in range(4):
-        row = g.transition[i]
+        row = g.transition.toarray()[i]
         assert np.count_nonzero(row) == 2
         np.testing.assert_allclose(row[row > 0], 0.5)
+
+
+def test_knn_stores_no_underflowed_weights():
+    # a weight that underflows to zero is not an edge: no stored entry, no
+    # 1-NN link, no walk through it
+    scores = np.full((4, 4), -1e6)
+    np.fill_diagonal(scores, 0.0)
+    g = build_knn_graph(SimilarityMatrix("rec", scores, kind="plda"), num_neighbors=2)
+    assert g.weights.nnz == 0 and g.transition.nnz == 8
+    assert init_partition(g).clusters == ((0,), (1,), (2,), (3,))
+    scores[0, 1] = scores[1, 0] = scores[2, 3] = scores[3, 2] = 1.0
+    g = build_knn_graph(SimilarityMatrix("rec", scores, kind="plda"), num_neighbors=3)
+    assert g.weights.nnz == g.transition.nnz == 4
+
+
+def test_affinity_graph_canonicalizes_sparse_input():
+    # row 0 has unsorted columns with a duplicate that ties column 1 with
+    # column 2; row 1 stores an explicit zero; row 2 stores nothing
+    W = scipy.sparse.csr_matrix(
+        (np.array([1.0, 0.5, 0.5, 1.0, 0.0]), np.array([2, 1, 1, 0, 2]), np.array([0, 3, 5, 5])),
+        shape=(3, 3),
+    )
+    P = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    g = AffinityGraph(weights=W, transition=P)
+    assert g.weights.nnz == 3
+    assert np.array_equal(g.weights.toarray(), [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert W.nnz == 5 and W.indices.tolist() == [2, 1, 1, 0, 2]  # the input is not changed
+    assert init_partition(g).clusters == ((0, 1), (2,))
 
 
 def test_knn_selection_matches_stable_sort_reference():
@@ -156,8 +189,23 @@ def test_knn_selection_matches_stable_sort_reference():
             for scale, offset in ((1.0, 0.0), (0.7, 1.5)):
                 g = build_knn_graph(sim, num_neighbors=k, scale=scale, offset=offset)
                 W, P = knn_graph_by_stable_sort(sim.scores, k, scale, offset)
-                assert np.array_equal(g.weights, W), (name, n, k)
-                assert np.array_equal(g.transition, P), (name, n, k)
+                assert np.array_equal(g.weights.toarray(), W), (name, n, k)
+                assert np.array_equal(g.transition.toarray(), P), (name, n, k)
+
+
+def test_build_knn_graph_allocates_less_than_one_dense_matrix():
+    # the graph is built in CSR from the (n, K) selection: no n x n W or P
+    n = 2000
+    sim = plda_matrix(np.random.default_rng(44), n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = build_knn_graph(sim, num_neighbors=30)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.weights.nnz == g.transition.nnz == n * 30
+    assert peak < n * n * 8
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +229,6 @@ def test_path_integral_two_node_closed_form():
     g = AffinityGraph(
         weights=np.array([[0.0, 1.0], [1.0, 0.0]]),
         transition=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        num_neighbors=1,
     )
     # geometric series: value = 1 / (2 (1 - z))
     assert path_integral(g, [0, 1], 0.5) == pytest.approx(1.0, abs=1e-12)
@@ -316,7 +363,7 @@ def test_affinity_disconnected_is_zero():
         scores[na:, :na] = -1e9
         k = int(rng.integers(1, min(na, nb)))
         g = build_knn_graph(SimilarityMatrix("rec", scores, kind="plda"), num_neighbors=k)
-        assert np.all(g.weights[:na, na:] == 0.0)
+        assert np.all(g.weights.toarray()[:na, na:] == 0.0)
         z = float(rng.uniform(0.05, 0.95))
         assert abs(affinity(g, range(na), range(na, n), z)) <= 1e-12
 
@@ -387,8 +434,6 @@ def test_pic_params_validation():
         PICParams(damping=0.0)
     with pytest.raises(ValueError, match="damping"):
         PICParams(damping=1.0)
-    with pytest.raises(ValueError, match="num_neighbors"):
-        PICParams(num_neighbors=0)
     with pytest.raises(ValueError, match="target_clusters"):
         PICParams(target_clusters=0)
 
@@ -408,7 +453,7 @@ def test_init_partition_matches_per_vertex_loop():
                 W[i, cols] = np.round(rng.uniform(0.0, 2.0, size=k)) / 2.0
             P = np.where(W.sum(axis=1, keepdims=True) > 0.0, W, 1.0 - np.eye(n))
             P = P / P.sum(axis=1, keepdims=True)
-            g = AffinityGraph(weights=W, transition=P, num_neighbors=k)
+            g = AffinityGraph(weights=W, transition=P)
             expected = [tuple(c) for c in one_nn_components_by_loop(W)]
             assert list(init_partition(g).clusters) == expected, (n, k)
 
@@ -433,7 +478,7 @@ def test_init_partition_chain_is_single_cluster():
         W[i, i + 1] = 1.0
     W[n - 1, n - 2] = 1.0
     P = W / W.sum(axis=1, keepdims=True)
-    g = AffinityGraph(weights=W, transition=P, num_neighbors=1)
+    g = AffinityGraph(weights=W, transition=P)
     assert len(init_partition(g)) == 1
 
 
@@ -441,7 +486,7 @@ def test_init_partition_isolated_vertex_stays_alone():
     W = np.zeros((3, 3))
     W[0, 1] = W[1, 0] = 1.0
     P = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
-    g = AffinityGraph(weights=W, transition=P, num_neighbors=1)
+    g = AffinityGraph(weights=W, transition=P)
     assert init_partition(g).clusters == ((0, 1), (2,))
 
 
@@ -874,11 +919,11 @@ def test_affinity_floor_stops_at_disconnected_blocks():
     # two components with no connecting edge: no walk crosses, so with a
     # positive floor the merge loop must stop instead of pairing them
     g = graph_from_edges(4, [(0, 1), (2, 3)])
-    forced = pic_cluster(g, PICParams(damping=0.5, num_neighbors=1, target_clusters=1))
+    forced = pic_cluster(g, PICParams(damping=0.5, target_clusters=1))
     assert len(forced) == 1
     floored = pic_cluster(
         g,
-        PICParams(damping=0.5, num_neighbors=1, target_clusters=1, affinity_floor=1e-12),
+        PICParams(damping=0.5, target_clusters=1, affinity_floor=1e-12),
     )
     assert floored.clusters == ((0, 1), (2, 3))
 
@@ -889,11 +934,11 @@ def test_affinity_floor_keeps_genuine_merges():
     for _ in range(10):
         sim = plda_matrix(rng, 8)
         g = build_knn_graph(sim, num_neighbors=7)
-        plain = pic_cluster(g, PICParams(damping=0.1, num_neighbors=7, target_clusters=2))
+        plain = pic_cluster(g, PICParams(damping=0.1, target_clusters=2))
         floored = pic_cluster(
             g,
             PICParams(
-                damping=0.1, num_neighbors=7, target_clusters=2, affinity_floor=1e-12
+                damping=0.1, target_clusters=2, affinity_floor=1e-12
             ),
         )
         # dense graphs keep positive walk evidence, so the floor changes nothing

@@ -351,6 +351,11 @@ def test_standardize_scores_moments():
     assert np.isclose(out[off].std(), 1.0)
     # the same operations in the same order as the plain expression
     assert np.array_equal(out, (S - S[off].mean()) / S[off].std())
+    # any square matrix; not symmetrized, so the 2 x 2 has a nonzero spread
+    for n in (2, 300, 1001):
+        S = rng.standard_normal((n, n)) * 7 + 3
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(standardize_scores(S), (S - S[off].mean()) / S[off].std()), n
 
 
 def test_standardize_scores_degenerate():
