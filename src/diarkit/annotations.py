@@ -50,6 +50,8 @@ class Segment:
             raise ValueError(f"segment onset must be >= 0, got {self.onset}")
         if not self.duration > 0.0:
             raise ValueError(f"segment duration must be > 0, got {self.duration}")
+        if not math.isfinite(self.onset + self.duration):
+            raise ValueError(f"segment offset must be finite, got {self.onset} + {self.duration}")
 
     @property
     def offset(self) -> float:
@@ -140,17 +142,16 @@ def parse_rttm(text: str) -> list[Annotation]:
     """Parse RTTM text into one Annotation per recording (sorted by id).
 
     Only SPEAKER lines are read; other line types are ignored.  A malformed
-    SPEAKER line (wrong field count, non-numeric onset or duration, duration
-    <= 0) raises RTTMParseError carrying the offending line number.
+    SPEAKER line (wrong field count, non-numeric fields, or values that
+    ``Segment`` rejects) raises RTTMParseError carrying the line number.
     """
     by_recording: dict[str, list[Segment]] = {}
     for lineno, fields, (onset, duration) in read_fields(text, "SPEAKER", 10, (3, 4)):
-        if duration <= 0:
-            raise RTTMParseError(f"duration must be > 0, got {duration}", lineno)
-        if onset < 0:
-            raise RTTMParseError(f"onset must be >= 0, got {onset}", lineno)
-        rec = fields[1]
-        by_recording.setdefault(rec, []).append(Segment(rec, onset, duration, fields[7]))
+        try:
+            segment = Segment(fields[1], onset, duration, fields[7])
+        except ValueError as exc:
+            raise RTTMParseError(str(exc), lineno) from None
+        by_recording.setdefault(segment.recording_id, []).append(segment)
     return [Annotation(rec, tuple(segs)) for rec, segs in sorted(by_recording.items())]
 
 

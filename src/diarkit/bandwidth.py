@@ -112,9 +112,9 @@ class BandDecision:
 
 
 def classify_segment(model: MLPClassifier, embedding: np.ndarray) -> str:
-    """NB when the narrowband probability strictly exceeds wideband, else WB."""
-    p = model.probabilities(np.asarray(embedding, dtype=float))
-    return NARROWBAND if p[0] > p[1] else WIDEBAND
+    """Label of one embedding, by :func:`classify_recording`'s rule."""
+    (label,) = classify_recording(model, embedding, "").segment_labels
+    return label
 
 
 def majority_vote(labels) -> str:
@@ -125,8 +125,9 @@ def majority_vote(labels) -> str:
 
 
 def classify_recording(model: MLPClassifier, embeddings: np.ndarray, recording_id: str) -> BandDecision:
+    """One classifier pass labels each row (NB iff p_NB > p_WB); the majority labels the file."""
     X = np.asarray(embeddings, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
-    labels = tuple(classify_segment(model, row) for row in X)
+    labels = tuple(NARROWBAND if nb > wb else WIDEBAND for nb, wb in model.probabilities(X))
     return BandDecision(recording_id, labels, majority_vote(labels))

@@ -15,7 +15,9 @@ contributes when the other's vertices become reachable:
 
 with the conditional term using the union's transition structure but only
 Ca's vertices as path endpoints.  The geometric series converges for z < 1
-because P_C has row sums <= 1, so each value is one linear solve.
+because P_C has row sums <= 1, so each value is one linear solve, made by
+one routine: it solves (I - z P_U) X = E on a vertex set U, one 0/1 column
+of E per endpoint set, and sums each column of X over its endpoints.
 
 Greedy merging needs only the best pair at each step, so the merge loop
 does not solve every pair.  It bounds each pair's affinity from above, for
@@ -111,18 +113,10 @@ class Partition:
 
     @classmethod
     def from_labels(cls, labels) -> "Partition":
-        labels = np.asarray(labels, dtype=int)
         groups: dict[int, list[int]] = {}
-        for v, lab in enumerate(labels):
+        for v, lab in enumerate(np.asarray(labels, dtype=int)):
             groups.setdefault(int(lab), []).append(v)
-        clusters = tuple(
-            tuple(members) for members in sorted(groups.values(), key=lambda m: m[0])
-        )
-        canon = np.empty(len(labels), dtype=int)
-        for idx, members in enumerate(clusters):
-            for v in members:
-                canon[v] = idx
-        return cls(labels=canon, clusters=clusters)
+        return cls.from_clusters(groups.values())
 
     @classmethod
     def from_clusters(cls, clusters) -> "Partition":
@@ -238,32 +232,35 @@ def _restrict(P: scipy.sparse.csr_matrix, members: np.ndarray):
     return row[keep], col[keep], P.data[pos[keep]]
 
 
-def _solve_restricted(P, members: np.ndarray, z: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - z P_C) x = rhs on the restricted transition matrix.
+def _path_sums(P, union: np.ndarray, z: float, ends: np.ndarray) -> list[float]:
+    """Solve (I - z P_U) X = ends on P restricted to ``union``; for each
+    column of the boolean (|union|, k) matrix ``ends``, return the sum of X
+    over that column's endpoints divided by their count squared.
 
     Small or slowly decaying systems use a dense solve.  Large systems whose
     geometric ratio (z times the largest restricted row sum) is well below 1
-    sum the series sum_k (z P_C)^k rhs instead, stopping once the remaining
+    sum the series sum_k (z P_U)^k ends instead, stopping once the remaining
     tail is provably under 1e-14 per entry; at the damping values used for
-    clustering that takes a handful of matrix-vector products.
+    clustering that takes a handful of matrix products.
     """
-    m = len(members)
-    row, col, val = _restrict(P, members)
+    m = len(union)
+    row, col, val = _restrict(P, union)
     sub = np.zeros((m, m))
     sub[row, col] = val
     rho = z * float(sub.sum(axis=1).max())
+    x = ends.astype(float)
     if m <= 256 or rho >= 0.5:
         try:
-            return np.linalg.solve(np.eye(m) - z * sub, rhs)
+            x = np.linalg.solve(np.eye(m) - z * sub, x)
         except np.linalg.LinAlgError as exc:  # unreachable for z < 1, row sums <= 1
             raise NumericalError(f"path-integral solve failed: {exc}") from exc
-    x = np.array(rhs, dtype=float)
-    term = x.copy()
-    tail_factor = rho / (1.0 - rho)
-    while float(np.abs(term).max()) * tail_factor > 1e-14:
-        term = z * (sub @ term)
-        x += term
-    return x
+    else:
+        term = x.copy()
+        tail_factor = rho / (1.0 - rho)
+        while float(np.abs(term).max()) * tail_factor > 1e-14:
+            term = z * (sub @ term)
+            x += term
+    return [col[picked].sum() / np.count_nonzero(picked) ** 2 for col, picked in zip(x.T, ends.T)]
 
 
 def path_integral(graph: AffinityGraph, members, z: float) -> float:
@@ -275,8 +272,8 @@ def path_integral(graph: AffinityGraph, members, z: float) -> float:
     members = np.asarray(sorted(members), dtype=int)
     if members.size == 0:
         raise ValueError("cluster must be non-empty")
-    x = _solve_restricted(graph.transition, members, z, np.ones(len(members)))
-    return float(x.sum()) / len(members) ** 2
+    ends = np.ones((len(members), 1), dtype=bool)
+    return float(_path_sums(graph.transition, members, z, ends)[0])
 
 
 def conditional_path_integral(graph: AffinityGraph, members, union_members, z: float) -> float:
@@ -289,22 +286,18 @@ def conditional_path_integral(graph: AffinityGraph, members, union_members, z: f
     union = np.asarray(sorted(int(v) for v in union_members), dtype=int)
     if not members.issubset(union):
         raise ValueError("cluster must be a subset of the union")
-    indicator = np.array([1.0 if v in members else 0.0 for v in union])
-    x = _solve_restricted(graph.transition, union, z, indicator)
-    return float(x[indicator > 0].sum()) / len(members) ** 2
+    ends = np.isin(union, list(members))[:, None]
+    return float(_path_sums(graph.transition, union, z, ends)[0])
 
 
 def _pair_gain(P, a: np.ndarray, b: np.ndarray, z: float, pi_a: float, pi_b: float) -> float:
     """Exact merge affinity of disjoint sorted clusters given their own path
-    integrals: one solve on the union with both indicator right-hand sides."""
+    integrals: one solve on the union with both endpoint sets."""
     union = np.union1d(a, b)
-    in_a = np.zeros(len(union))
-    in_a[np.searchsorted(union, a)] = 1.0
-    rhs = np.column_stack([in_a, 1.0 - in_a])
-    x = _solve_restricted(P, union, z, rhs)
-    cond_a = float(x[in_a > 0, 0].sum()) / len(a) ** 2
-    cond_b = float(x[in_a == 0, 1].sum()) / len(b) ** 2
-    return (cond_a - pi_a) + (cond_b - pi_b)
+    in_a = np.zeros(len(union), dtype=bool)
+    in_a[np.searchsorted(union, a)] = True
+    cond_a, cond_b = _path_sums(P, union, z, np.column_stack([in_a, ~in_a]))
+    return float((cond_a - pi_a) + (cond_b - pi_b))
 
 
 def affinity(graph: AffinityGraph, members_a, members_b, z: float) -> float:
@@ -423,10 +416,10 @@ class _MergeEngine:
         touches[labels[i_col]] = True
         return gain, peak, touches
 
-    def _walks_through(self, members, edges, labels, intra_out, intra_in, m):
+    def _walks_through(self, members, edges, inner, labels, intra_out, intra_in, m):
         """Walks from each cluster k back into k through cluster C:
         the z-weighted length-2 and -3 mass, and the most a vertex of C
-        sends into k."""
+        sends into k.  ``inner`` marks the out-edges that stay inside C."""
         (o_row, o_col, o_w, _), (i_row, i_col, i_w, _) = edges
         o_k, i_k = labels[o_col], labels[i_col]
         near = np.zeros(m, dtype=bool)
@@ -443,9 +436,9 @@ class _MergeEngine:
 
         sends = per_vertex(o_cell, o_w)
         gets = per_vertex(i_cell, i_w)
-        row, col, val = _restrict(self._P, members)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=size))])
-        P_CC = scipy.sparse.csr_matrix((val, col, indptr), shape=(size, size))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(o_row[inner], minlength=size))])
+        col = np.searchsorted(members, o_col[inner])
+        P_CC = scipy.sparse.csr_matrix((o_w[inner], col, indptr), shape=(size, size))
         # k -> C -> C -> k and k -> C -> k -> k, then k -> k -> C -> k
         onward = P_CC @ sends + per_vertex(o_cell, o_w * intra_out[o_col])
         walk2 = (gets * sends).sum(axis=0)
@@ -542,11 +535,11 @@ class _MergeEngine:
             inner = labels[o_col] == i
             intra.data[o_pos[inner]] = o_w[inner]
             intra_out[members] = np.bincount(o_row[inner], o_w[inner], len(members))
-            inner = labels[i_col] == i
-            intra_in[members] = np.bincount(i_row[inner], i_w[inner], len(members))
+            into = labels[i_col] == i
+            intra_in[members] = np.bincount(i_row[into], i_w[into], len(members))
             gain_from, peak_in, touches = self._walks_from(members, edges, labels, intra, m)
             gain_via, peak_out = self._walks_through(
-                members, edges, labels, intra_out, intra_in, m
+                members, edges, inner, labels, intra_out, intra_in, m
             )
             upper = self._bounds(gain_from, gain_via, peak_out, peak_in, sizes[i], sizes)
             row = np.where(dead, -np.inf, np.where(touches, upper, 0.0))

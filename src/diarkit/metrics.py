@@ -34,8 +34,8 @@ FRAME = 0.01  # scoring grid in seconds
 
 
 def _frame(t: float) -> int:
-    """Snap a time to the frame grid, rounding half-up."""
-    return int(math.floor(t * 100.0 + 0.5))
+    """Snap a time to the frame grid, rounding half-up and saturating at 2^62."""
+    return int(math.floor(min(t * 100.0 + 0.5, 2.0**62)))
 
 
 def _speaker_frames(annotation: Annotation, speakers: list[str], n_frames: int) -> np.ndarray:
@@ -49,10 +49,14 @@ def _speaker_frames(annotation: Annotation, speakers: list[str], n_frames: int) 
 
 
 def _frame_grids(reference: Annotation, hypothesis: Annotation, regions: ScoringRegions | None):
-    """Sorted speaker labels, (speakers, frames) grids and region mask of one call."""
+    """Sorted speaker labels, (speakers, frames) grids and region mask of one
+    call; the grids stop at the last scoring region, past which nothing counts."""
     ref_spk = list(reference.speakers())
     hyp_spk = list(hypothesis.speakers())
-    n_frames = max(_frame(reference.extent()), _frame(hypothesis.extent()), 1)
+    end = max(reference.extent(), hypothesis.extent())
+    if regions is not None:
+        end = min(end, max((off for _, off in regions.intervals), default=0.0))
+    n_frames = max(_frame(end), 1)
     region = np.full(n_frames, regions is None)
     if regions is not None:
         for on, off in regions.intervals:

@@ -12,12 +12,19 @@ import math
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 import scipy.special
 import scipy.stats
 
 from diarkit.annotations import Annotation, ScoringRegions
-from diarkit.clustering import Partition
+from diarkit.clustering import Partition, affinity, init_partition
 from diarkit.metrics import DERReport
+
+
+def _dense(P) -> np.ndarray:
+    """P as a dense array: the walk sums below index and multiply it entry
+    by entry, which a sparse matrix does through slow per-call dispatch."""
+    return P.toarray() if scipy.sparse.issparse(P) else np.asarray(P)
 
 
 def truncated_path_sum(P: np.ndarray, members, z: float, max_len: int) -> float:
@@ -26,6 +33,7 @@ def truncated_path_sum(P: np.ndarray, members, z: float, max_len: int) -> float:
     Computes (1/|C|^2) * sum_{l=0..max_len} z^l * 1^T P_C^l 1 with repeated
     matrix-vector products on the restricted transition matrix.
     """
+    P = _dense(P)
     members = list(members)
     sub = P[np.ix_(members, members)]
     ones = np.ones(len(members))
@@ -43,6 +51,7 @@ def truncation_tail_bound(P: np.ndarray, members, z: float, max_len: int) -> flo
     Each extra step multiplies the remaining mass by at most z * max row sum
     of the restricted matrix, so the tail is bounded by a geometric series.
     """
+    P = _dense(P)
     members = list(members)
     sub = P[np.ix_(members, members)]
     rho = z * float(sub.sum(axis=1).max())
@@ -59,6 +68,7 @@ def enumerated_walk_sum(P: np.ndarray, members, z: float, max_len: int) -> float
     Exponential in max_len; keep the graphs tiny. A walk of length l from i
     contributes z^l times the product of its transition probabilities.
     """
+    P = _dense(P)
     members = list(members)
     sub = P[np.ix_(members, members)]
     n = len(members)
@@ -81,6 +91,7 @@ def conditional_truncated_path_sum(
 ) -> float:
     """Conditional path integral: walks move through the union's transition
     structure but start and end inside ``members``."""
+    P = _dense(P)
     union = list(union_members)
     pos = {v: k for k, v in enumerate(union)}
     sub = P[np.ix_(union, union)]
@@ -94,6 +105,38 @@ def conditional_truncated_path_sum(
         acc = z * (sub @ acc)
         total += float(indicator @ acc)
     return total / len(list(members)) ** 2
+
+
+def brute_force_pic_trace(graph, target, z):
+    """Quadratic reference: recompute every pairwise affinity each step.
+
+    A cluster pair with no connecting edge in either direction has affinity
+    exactly zero (no walk can cross between them), so the reference scores
+    such pairs as 0.0 rather than letting roundoff from a needless solve
+    decide their order; ties then fall to the smallest index pair, matching
+    the documented merge rule.
+    """
+    P = graph.transition.toarray()
+    clusters = [list(c) for c in init_partition(graph).clusters]
+    trace = []
+    while len(clusters) > target:
+        best_val = -np.inf
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                a, b = clusters[i], clusters[j]
+                if P[np.ix_(a, b)].any() or P[np.ix_(b, a)].any():
+                    val = affinity(graph, a, b, z)
+                else:
+                    val = 0.0
+                if val > best_val:
+                    best_val = val
+                    best = (i, j)
+        i, j = best
+        trace.append((tuple(clusters[i]), tuple(clusters[j])))
+        clusters[i] = sorted(clusters[i] + clusters[j])
+        del clusters[j]
+    return Partition.from_clusters(clusters), trace
 
 
 class UnionFind:

@@ -15,6 +15,7 @@ import pytest
 
 from oracles import (
     brute_force_best_mapping,
+    brute_force_pic_trace,
     conditional_truncated_path_sum,
     truncated_path_sum,
     truncation_tail_bound,
@@ -109,38 +110,6 @@ def has_one_way_pair(graph) -> bool:
         for b in clusters
         if a != b
     )
-
-
-def brute_force_pic_trace(graph, target, z):
-    """Quadratic reference: recompute every pairwise affinity each step.
-
-    A cluster pair with no connecting edge in either direction has affinity
-    exactly zero (no walk can cross between them), so the reference scores
-    such pairs as 0.0 rather than letting roundoff from a needless solve
-    decide their order; ties then fall to the smallest index pair, matching
-    the documented merge rule.
-    """
-    P = graph.transition.toarray()
-    clusters = [list(c) for c in init_partition(graph).clusters]
-    trace = []
-    while len(clusters) > target:
-        best_val = -np.inf
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                a, b = clusters[i], clusters[j]
-                if P[np.ix_(a, b)].any() or P[np.ix_(b, a)].any():
-                    val = affinity(graph, a, b, z)
-                else:
-                    val = 0.0
-                if val > best_val:
-                    best_val = val
-                    best = (i, j)
-        i, j = best
-        trace.append((tuple(clusters[i]), tuple(clusters[j])))
-        clusters[i] = sorted(clusters[i] + clusters[j])
-        del clusters[j]
-    return Partition.from_clusters(clusters), trace
 
 
 def corpus_der(out_dir: Path) -> float:

@@ -127,6 +127,18 @@ def test_parse_rttm_rejects_bad_lines(bad):
         parse_rttm(bad + "\n")
 
 
+def test_offset_that_overflows_is_rejected():
+    text = (
+        "SPEAKER r 1 0.0 1.0 <NA> <NA> a <NA> <NA>\n"
+        "SPEAKER r 1 1e308 1e308 <NA> <NA> a <NA> <NA>\n"
+    )
+    with pytest.raises(RTTMParseError) as err:
+        parse_rttm(text)
+    assert err.value.line_number == 2
+    with pytest.raises(ValueError, match="finite"):
+        Segment("r", 1e308, 1e308, "a")
+
+
 def test_write_rttm_format_exact():
     ann = Annotation("rec7", (Segment("rec7", 1.0, 2.3456, "alice"),))
     assert write_rttm(ann) == "SPEAKER rec7 1 1.000 2.346 <NA> <NA> alice <NA> <NA>\n"

@@ -113,6 +113,19 @@ def test_classify_recording_majority():
     assert single.file_label == "WB"
 
 
+def test_classify_recording_batch_matches_rows():
+    rng = np.random.default_rng(4)
+    model = MLPClassifier(
+        rng.normal(size=(6, 8)), rng.normal(size=8), rng.normal(size=(8, 2)), rng.normal(size=2)
+    )
+    X = rng.normal(size=(200, 6))
+    labels = classify_recording(model, X, "call_3").segment_labels
+    assert labels == tuple(classify_segment(model, row) for row in X)
+    assert 0 < labels.count("NB") < len(labels)
+    with pytest.raises(ValueError):
+        classify_segment(model, X[:2])
+
+
 def test_mlp_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     model = MLPClassifier(

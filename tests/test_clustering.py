@@ -27,6 +27,7 @@ from oracles import (
     UnionFind,
     ahc_by_greedy_loop,
     ahc_by_nn_chain,
+    brute_force_pic_trace,
     conditional_truncated_path_sum,
     enumerated_walk_sum,
     knn_graph_by_stable_sort,
@@ -506,26 +507,6 @@ def test_init_partition_matches_union_find_oracle():
 
 # ---------------------------------------------------------------------------
 # greedy path-integral clustering
-
-
-def brute_force_pic_trace(graph, target, z):
-    """Quadratic reference: recompute every pairwise affinity each step."""
-    clusters = [list(c) for c in init_partition(graph).clusters]
-    trace = []
-    while len(clusters) > target:
-        best_val = -np.inf
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                val = affinity(graph, clusters[i], clusters[j], z)
-                if val > best_val:
-                    best_val = val
-                    best = (i, j)
-        i, j = best
-        trace.append((tuple(clusters[i]), tuple(clusters[j])))
-        clusters[i] = sorted(clusters[i] + clusters[j])
-        del clusters[j]
-    return Partition.from_clusters(clusters), trace
 
 
 def test_pic_two_cliques_recovered_exactly():

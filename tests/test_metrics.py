@@ -141,6 +141,19 @@ def test_der_scoring_regions_limit_the_comparison():
     assert restricted.der == 0.0
 
 
+def test_far_off_hypothesis_outside_the_uem_changes_nothing():
+    # the grids end with the last scoring region, so a segment a billion
+    # seconds out (or near the float range) costs no memory and no error
+    ref = ann("rec", (0.0, 10.0, "A"), (10.0, 5.0, "B"))
+    hyp = ann("rec", (0.0, 9.0, "x"), (9.0, 6.0, "y"))
+    regions = ScoringRegions("rec", ((0.0, 12.0), (13.0, 15.0)))
+    expected = der(ref, hyp, regions=regions)
+    for onset, duration in ((1e9, 2.0), (1e307, 1e307)):
+        far = hyp.with_segments(hyp.segments + (Segment("rec", onset, duration, "x"),))
+        assert der(ref, far, regions=regions) == expected
+        assert jer(ref, far, regions=regions) == expected.jer
+
+
 def test_der_empty_reference_is_undefined():
     ref = Annotation("rec", ())
     hyp = ann("rec", (0.0, 1.0, "A"))
