@@ -82,8 +82,8 @@ def main():
     cos_sim = cosine_similarity(seq, pca)
     separation_report("cosine     ", cos_sim.scores, same_mask)
 
-    z = standardize_scores(plda_sim.scores)
-    separation_report("plda, z-std", z, same_mask)
+    z = standardize_scores(plda_sim)
+    separation_report("plda, z-std", z.scores, same_mask)
     print("\nstandardizing recenters the scores without moving the separation, "
           "which keeps one sigmoid edge-weight setting usable across recordings")
 

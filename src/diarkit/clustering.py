@@ -35,9 +35,14 @@ stopping-point estimate (cluster count at a threshold) and a comparison
 route.  Average linkage is reducible, so the nearest-neighbor-chain
 algorithm builds its dendrogram in O(n^2) time on the condensed upper
 triangle (scipy's implementation of D. Muellner, "Modern hierarchical,
-agglomerative clustering algorithms", arXiv 1109.2378, 2011).  On ties it
-can merge in another order than a greedy best-pair scan; ``ahc_cluster``
-states the rule.
+agglomerative clustering algorithms", arXiv 1109.2378, 2011).  The tree is
+built once per similarity matrix and cut by both the estimate and
+``ahc_cluster``.  On ties it can merge in another order than a greedy
+best-pair scan; ``ahc_cluster`` states the rule.
+
+Every step reads the scores from the matrix's condensed storage: the k-NN
+graph a band of rows at a time, small-cluster absorption one member's row
+at a time.
 """
 
 from __future__ import annotations
@@ -48,8 +53,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
-from scipy.cluster.hierarchy import linkage
-from scipy.spatial.distance import squareform
 
 from .scoring import NumericalError, SimilarityMatrix, sigmoid_weights
 
@@ -181,25 +184,26 @@ def build_knn_graph(
     The neighbors are the K highest off-diagonal scores of the row; among
     scores equal to the K-th highest, the lowest indices are kept, so the
     set is the first K of a stable descending sort.  Each row is selected
-    with ``np.argpartition``; only rows where a score equal to the K-th
-    highest is left out are sorted (stably) to settle the tie.  Rows whose
-    kept weights all underflow to zero fall back to a uniform transition
-    over their K chosen neighbors, keeping the transition matrix
-    row-stochastic.
+    with ``np.argpartition``, 256 rows at a time as the matrix's ``rows``
+    rebuilds them; only rows where a score equal to the K-th highest is left
+    out are sorted (stably) to settle the tie.  Rows whose kept weights all
+    underflow to zero fall back to a uniform transition over their K chosen
+    neighbors, keeping the transition matrix row-stochastic.
     """
-    S = sim.scores
-    n = S.shape[0]
+    n = len(sim)
     if n < 2:
         raise ValueError("graph construction needs at least 2 vertices")
     if not 1 <= num_neighbors <= n - 1:
         raise ValueError(f"num_neighbors must lie in [1, {n - 1}], got {num_neighbors}")
     k = num_neighbors
     chosen = np.empty((n, k), dtype=np.intp)
+    picked = np.empty((n, k))
     for r0 in range(0, n, _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, n)
         # ascending order of negated scores is descending order of scores;
         # the diagonal goes last
-        neg = np.negative(S[r0:r1])
+        neg = sim.rows(r0, r1)
+        np.negative(neg, out=neg)
         neg[np.arange(r1 - r0), np.arange(r0, r1)] = np.inf
         part = np.argpartition(neg, k - 1, axis=1)[:, :k]
         part_neg = np.take_along_axis(neg, part, axis=1)
@@ -208,8 +212,11 @@ def build_knn_graph(
         tied = np.flatnonzero(np.count_nonzero(neg == kth, axis=1) > kept_ties)
         if tied.size:
             part[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
-        chosen[r0:r1] = np.sort(part, axis=1)
-    w = sigmoid_weights(np.take_along_axis(S, chosen, axis=1), scale=scale, offset=offset)
+        part.sort(axis=1)
+        chosen[r0:r1] = part
+        # negation is exact: these are the chosen scores' own bits
+        np.negative(np.take_along_axis(neg, part, axis=1), out=picked[r0:r1])
+    w = sigmoid_weights(picked, scale=scale, offset=offset)
     totals = w.sum(axis=1)
     trans = np.empty_like(w)
     positive = totals > 0.0
@@ -589,9 +596,10 @@ def ahc_cluster(
     Exactly one stopping rule must be given: merge while the best pair's
     linkage is >= threshold, or merge until ``num_clusters`` remain.
 
-    The dendrogram comes from scipy's nearest-neighbor-chain linkage on the
-    condensed negated scores.  Negation is exact, so each merge height is
-    the negated similarity-space linkage.  The tree is cut by merge order:
+    The dendrogram is the matrix's ``average_linkage``: scipy's
+    nearest-neighbor-chain linkage on the condensed negated scores, built
+    once per matrix.  Negation is exact, so each merge height is the
+    negated similarity-space linkage.  The tree is cut by merge order:
     the merges sorted by height (stably), then the first ones whose linkage
     reaches the threshold, or the first n - ``num_clusters``.  Ties follow
     the chain.  A cluster's index is its largest member; the chain starts at
@@ -603,15 +611,13 @@ def ahc_cluster(
     """
     if (threshold is None) == (num_clusters is None):
         raise ValueError("give exactly one of threshold or num_clusters")
-    n = sim.scores.shape[0]
+    n = len(sim)
     if num_clusters is not None and not 1 <= num_clusters <= n:
         raise ValueError(f"num_clusters must lie in [1, {n}]")
     if n == 1:
         return Partition.from_labels([0])
 
-    dist = squareform(sim.scores, checks=False)
-    np.negative(dist, out=dist)
-    tree = linkage(dist, method="average")
+    tree = sim.average_linkage
     if threshold is not None:
         merges = int(np.searchsorted(tree[:, 2], -threshold, side="right"))
     else:
@@ -633,7 +639,7 @@ def estimate_num_speakers(
 
     Clusters smaller than ``min_cluster_size`` are not counted (outlier
     windows otherwise inflate the estimate), but the result is always at
-    least 1.
+    least 1.  The tree is the one ``ahc_cluster`` cuts for the same matrix.
     """
     part = ahc_cluster(sim, threshold=threshold)
     count = sum(1 for c in part.clusters if len(c) >= min_cluster_size)
@@ -655,7 +661,6 @@ def absorb_small_clusters(
     """
     if min_size <= 1 or len(partition) <= 1:
         return partition
-    S = sim.scores
     clusters = [list(c) for c in partition.clusters]
     anchors = [idx for idx, c in enumerate(clusters) if len(c) >= min_size]
     if not anchors:
@@ -665,6 +670,7 @@ def absorb_small_clusters(
     for idx, members in enumerate(clusters):
         if idx in merged:
             continue
-        means = [S[np.ix_(members, clusters[a])].mean() for a in anchors]
+        rows = np.concatenate([sim.rows(v, v + 1) for v in members])
+        means = [rows[:, clusters[a]].mean() for a in anchors]
         merged[anchors[int(np.argmax(means))]].extend(members)
     return Partition.from_clusters(merged.values())

@@ -426,8 +426,8 @@ def windows_to_annotation(
 def _cluster_windows(
     sub: EmbeddingSequence, config: PipelineConfig, models: ModelSet
 ) -> Partition:
-    # scoring here and rebinding ``sim`` keeps one n x n score matrix alive
-    # at the k-NN step, next to the graph's O(nK) CSR matrices
+    # each step reads the scores in condensed form; rebinding ``sim`` lets
+    # the raw scores go once they are standardized
     sim = _score_recording(sub, config, models)
     n = len(sub)
     min_size = config.clustering.min_cluster_windows
@@ -436,10 +436,7 @@ def _cluster_windows(
         part = ahc_cluster(sim, num_clusters=min(target, n))
         return absorb_small_clusters(part, sim, min_size)
     if sim.kind == "plda" and config.scoring.standardize_plda_scores:
-        recording_id, scores = sim.recording_id, standardize_scores(sim.scores)
-        del sim  # the raw scores go before the validated copy is made
-        sim = SimilarityMatrix(recording_id, scores, kind="plda")
-        del scores
+        sim = standardize_scores(sim)
     graph = build_knn_graph(
         sim,
         num_neighbors=min(config.clustering.num_neighbors, n - 1),

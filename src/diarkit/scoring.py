@@ -5,16 +5,27 @@ two-covariance PLDA log-likelihood ratio.  PLDA scoring applies a
 recording-level PCA keeping 30% of the total energy, with the model
 congruence-transformed into the projected space.  Either score matrix can be
 squashed into graph edge weights with :func:`sigmoid_weights`.
+
+Both routes build the square score matrix with one matrix product and hand
+it to :class:`SimilarityMatrix`, which keeps each recording's scores once:
+the condensed upper triangle in scipy ``squareform`` order plus the
+diagonal.  Every later step reads that storage, through
+:meth:`SimilarityMatrix.rows` or the cached average-linkage tree, so after
+scoring no n x n array is made; ``SimilarityMatrix.scores`` rebuilds the
+square for callers outside that route.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 import scipy.special
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import squareform
 
 from . import container
 from .container import FormatError
@@ -182,66 +193,184 @@ class PLDAModel:
 
 
 _TILE = 128
+_GATHER = 1 << 15  # entries per gathered chunk of mirrored scores
 
 
-def _symmetrize(S: np.ndarray, out: np.ndarray) -> float:
-    """Write ``0.5 * (S + S.T)`` into ``out`` tile by tile; return max |S - S.T|.
+def _symmetric_tiles(S: np.ndarray):
+    """Yield ``(r0, c0, tile, spread)`` for each tile on or above the
+    diagonal, row by row: ``tile`` holds ``0.5 * (S + S.T)`` over rows
+    ``r0:r0 + _TILE`` and columns ``c0:c0 + _TILE``, and ``spread`` is the
+    largest |S - S.T| over it.
 
-    ``out`` may be ``S`` itself: each tile pair is read in full before either
-    of its tiles is written.  An entry below the diagonal gets the bits of its
-    mirror above it, which are the bits of the full-matrix expression because
-    floating-point addition is commutative.
+    Both mirror tiles are read before the yield and no later tile reads
+    them, so a caller may write the tile and its transpose back into S.  An
+    entry below the diagonal gets the bits of its mirror above it, which are
+    the bits of the full-matrix expression because floating-point addition
+    is commutative.
     """
     n = S.shape[0]
-    worst = 0.0
     for r0 in range(0, n, _TILE):
-        rows = slice(r0, r0 + _TILE)
         for c0 in range(r0, n, _TILE):
-            cols = slice(c0, c0 + _TILE)
-            upper = S[rows, cols]
-            lower_t = S[cols, rows].T
-            worst = max(worst, float(np.abs(upper - lower_t).max()))
+            upper = S[r0 : r0 + _TILE, c0 : c0 + _TILE]
+            lower_t = S[c0 : c0 + _TILE, r0 : r0 + _TILE].T
+            spread = float(np.abs(upper - lower_t).max())
             tile = upper + lower_t
             tile *= 0.5
-            out[rows, cols] = tile
-            out[cols, rows] = tile.T
-    return worst
+            yield r0, c0, tile, spread
 
 
-@dataclass(frozen=True)
+def _symmetrize(S: np.ndarray) -> None:
+    """Overwrite S with ``0.5 * (S + S.T)``, tile by tile."""
+    for r0, c0, tile, _ in _symmetric_tiles(S):
+        r1, c1 = r0 + tile.shape[0], c0 + tile.shape[1]
+        S[r0:r1, c0:c1] = tile
+        S[c0:c1, r0:r1] = tile.T
+
+
+def _row_starts(n: int) -> np.ndarray:
+    """Offset of each row's strictly-upper part in the condensed vector, plus its length."""
+    i = np.arange(n + 1)
+    return i * n - i * (i + 1) // 2
+
+
+def _all_finite(*arrays: np.ndarray) -> bool:
+    # min and max propagate NaN, so both are finite only when every entry is
+    return all(
+        np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)) for a in arrays
+    )
+
+
+@dataclass(frozen=True, init=False)
 class SimilarityMatrix:
-    """Symmetric pairwise score matrix for one recording.
+    """Symmetric pairwise score matrix for one recording, stored once.
 
-    The input must be square, finite and symmetric within 1e-6; the check
-    takes the largest |S - S.T| over the same tile-by-tile pass that stores
-    ``0.5 * (S + S.T)``.  ``scores`` is always a new array owned by this
-    object, so later changes to the input do not reach it.
+    ``condensed`` holds the strictly upper triangle in scipy ``squareform``
+    order (row by row, n (n - 1) / 2 entries) and ``diagonal`` the n
+    self-scores; both are read-only and owned by this object.  ``rows``
+    rebuilds bands of the square from them, and the ``scores`` property
+    rebuilds the whole square as a new array for callers that want it.
+
+    The input to the constructor must be square, finite and symmetric within
+    1e-6; the check takes the largest |S - S.T| over the same tile-by-tile
+    pass that stores ``0.5 * (S + S.T)``.  The input is never modified, and
+    no second n x n array is made from it.
     """
 
     recording_id: str
-    scores: np.ndarray
     kind: str  # "cosine" or "plda"
+    condensed: np.ndarray
+    diagonal: np.ndarray
 
-    def __post_init__(self):
-        S = np.asarray(self.scores, dtype=float)
+    def __init__(self, recording_id: str, scores: np.ndarray, kind: str):
+        if kind not in ("cosine", "plda"):
+            raise ValueError(f"unknown score kind {kind!r}")
+        S = np.asarray(scores, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"score matrix must be square, got {S.shape}")
-        if not np.isfinite(S).all():
+        if not _all_finite(S):
             raise ValueError("score matrix must be finite")
-        sym = np.empty_like(S)
-        if _symmetrize(S, sym) > 1e-6:
-            raise ValueError("score matrix must be symmetric within 1e-6")
-        if self.kind not in ("cosine", "plda"):
-            raise ValueError(f"unknown score kind {self.kind!r}")
-        if self.kind == "cosine" and S.size:
+        n = S.shape[0]
+        starts = _row_starts(n)
+        condensed = np.empty(starts[n])
+        diagonal = np.empty(n)
+        band = np.empty((_TILE, n))  # the tiles of one band of rows
+        for r0, c0, tile, spread in _symmetric_tiles(S):
+            if spread > 1e-6:
+                raise ValueError("score matrix must be symmetric within 1e-6")
+            r1, c1 = r0 + tile.shape[0], c0 + tile.shape[1]
+            band[: r1 - r0, c0:c1] = tile
+            if c1 == n:
+                for i in range(r0, r1):
+                    diagonal[i] = band[i - r0, i]
+                    condensed[starts[i] : starts[i + 1]] = band[i - r0, i + 1 :]
+        if kind == "cosine" and n:
             if S.min() < -1.0 - 1e-9 or S.max() > 1.0 + 1e-9:
                 raise ValueError("cosine scores must lie in [-1, 1]")
             if np.abs(np.diag(S) - 1.0).max() > 1e-6:
                 raise ValueError("cosine diagonal must be 1")
-        object.__setattr__(self, "scores", sym)
+        self._store(recording_id, kind, condensed, diagonal)
+
+    @classmethod
+    def _from_condensed(
+        cls, recording_id: str, kind: str, condensed: np.ndarray, diagonal: np.ndarray
+    ) -> "SimilarityMatrix":
+        """Wrap condensed storage computed from another matrix's by an
+        elementwise map, so symmetric by construction."""
+        if not _all_finite(condensed, diagonal):
+            raise ValueError("score matrix must be finite")
+        sim = cls.__new__(cls)
+        sim._store(recording_id, kind, condensed, diagonal)
+        return sim
+
+    def _store(self, recording_id, kind, condensed, diagonal) -> None:
+        condensed.flags.writeable = False
+        diagonal.flags.writeable = False
+        object.__setattr__(self, "recording_id", recording_id)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "condensed", condensed)
+        object.__setattr__(self, "diagonal", diagonal)
 
     def __len__(self) -> int:
-        return self.scores.shape[0]
+        return len(self.diagonal)
+
+    @functools.cached_property
+    def _starts(self) -> np.ndarray:
+        return _row_starts(len(self))
+
+    @functools.cached_property
+    def _mirror_base(self) -> np.ndarray:
+        # entry (j, i), j < i, sits at condensed[_mirror_base[j] + i]
+        n = len(self)
+        return self._starts[:n] - np.arange(n) - 1
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start:stop`` of the square score matrix, as a new
+        ``(stop - start, n)`` array with the bits of the stored entries.
+
+        Each row's part right of the diagonal is a slice of the condensed
+        vector; its part left of the band is read from the band's columns in
+        the earlier rows, and the part inside the band mirrors the band's
+        upper triangle.  All rows at once is one ``squareform`` call.
+        """
+        n = len(self)
+        if not 0 <= start <= stop <= n:
+            raise ValueError(f"row range {start}:{stop} outside 0:{n}")
+        if start == 0 and stop == n and n:
+            S = squareform(self.condensed, force="tomatrix", checks=False)
+            np.fill_diagonal(S, self.diagonal)
+            return S
+        band = stop - start
+        out = np.empty((band, n))
+        # gathered as (earlier row, band column), in cache-sized chunks, so
+        # each read is a run of contiguous entries
+        cols = np.arange(start, stop)
+        chunk = max(_TILE, _GATHER // max(band, 1))
+        for j0 in range(0, start, chunk):
+            j1 = min(j0 + chunk, start)
+            out[:, j0:j1] = self.condensed[self._mirror_base[j0:j1, None] + cols].T
+        starts = self._starts
+        for i in range(start, stop):
+            out[i - start, i] = self.diagonal[i]
+            out[i - start, i + 1 :] = self.condensed[starts[i] : starts[i + 1]]
+        square = out[:, start:stop]
+        np.copyto(square, square.T, where=np.arange(band) < np.arange(band)[:, None])
+        return out
+
+    @property
+    def scores(self) -> np.ndarray:
+        """The whole square score matrix, rebuilt as a new array on each access."""
+        return self.rows(0, len(self))
+
+    @functools.cached_property
+    def average_linkage(self) -> np.ndarray:
+        """scipy linkage matrix of average-linkage clustering on the negated
+        scores, built on first use and kept.
+
+        Negation is exact, so each merge height is the negated
+        similarity-space linkage.  scipy takes the condensed vector as it is
+        stored and builds the tree by the nearest-neighbor chain in O(n^2).
+        """
+        return linkage(np.negative(self.condensed), method="average")
 
 
 def _vectors_and_id(embeddings, recording_id: str):
@@ -262,7 +391,7 @@ def cosine_similarity(embeddings, pca: PCAModel, recording_id: str = "recording"
     safe = np.where(norms > 0, norms, 1.0)
     unit = proj / safe[:, None]
     S = unit @ unit.T
-    _symmetrize(S, S)
+    _symmetrize(S)
     np.clip(S, -1.0, 1.0, out=S)
     degenerate = norms == 0
     S[degenerate, :] = 0.0
@@ -314,7 +443,7 @@ class _PairwiseScorer:
             part *= 0.5
             np.subtract(self.const, part, out=part)
             np.subtract(part, S[rows], out=S[rows])
-        _symmetrize(S, S)
+        _symmetrize(S)
         return S
 
 
@@ -357,27 +486,94 @@ def sigmoid_weights(scores: np.ndarray, scale: float = 1.0, offset: float = 0.0)
     return scipy.special.expit(scale * (s - offset))
 
 
-def standardize_scores(scores: np.ndarray) -> np.ndarray:
-    """Affine map of a square score matrix to zero mean, unit variance.
+_LEAF = 1 << 16  # entries per part summed by np.add.reduce
+_BAND = 256  # rows gathered at a time for the moments
+
+
+def _pairwise_sum(values, start: int, stop: int) -> float:
+    """numpy's pairwise sum of a virtual array, read through ``values(start, stop)``.
+
+    numpy splits a sum of L > 128 entries at L // 2 rounded down to a
+    multiple of 8 and adds the halves' sums; this follows the same split
+    and hands each part of at most ``_LEAF`` entries to ``np.add.reduce``,
+    which carries on the split inside it.  So the result has the bits of
+    ``np.add.reduce`` over the whole array, which is never made; the parts
+    are requested in ascending order.
+    """
+    length = stop - start
+    if length <= _LEAF:
+        return np.add.reduce(values(start, stop))
+    half = length // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, start + half) + _pairwise_sum(values, start + half, stop)
+
+
+def _off_diagonal(sim: SimilarityMatrix):
+    """``values(start, stop)`` for the virtual array ``S[~eye]``: the
+    off-diagonal scores in row-major order, as a read-only view.
+
+    Rows are gathered ``_BAND`` at a time, or more when one request spans
+    more; requests that ascend through the array reuse the last gather.
+    """
+    n = len(sim)
+    width = n - 1
+    lo, hi, flat = 0, 0, np.zeros(0)
+
+    def values(start: int, stop: int) -> np.ndarray:
+        nonlocal lo, hi, flat
+        if not lo <= start <= stop <= hi:
+            r0 = start // width
+            r1 = min(n, max(r0 + _BAND, -(-stop // width)))
+            # the band's row k has its diagonal at r0 + k (n + 1) in ``block``:
+            # copy the runs before, between and after those entries
+            block = sim.rows(r0, r1).ravel()
+            last = r0 + (r1 - r0 - 1) * (n + 1)
+            mid = (r1 - r0 - 1) * n
+            lo, hi, flat = r0 * width, r1 * width, np.empty((r1 - r0) * width)
+            flat[:r0] = block[:r0]
+            between = block[r0 + 1 : last + 1].reshape(-1, n + 1)[:, :n]
+            flat[r0 : r0 + mid].reshape(-1, n)[:] = between
+            flat[r0 + mid :] = block[last + 1 :]
+            flat.flags.writeable = False
+        return flat[start - lo : stop - lo]
+
+    return values
+
+
+def standardize_scores(sim: SimilarityMatrix) -> SimilarityMatrix:
+    """Affine map of PLDA scores to zero mean, unit variance.
 
     Statistics come from the off-diagonal entries (self-scores are outliers
-    for ratio-based scores).  A constant matrix is only centered.
+    for ratio-based scores).  A constant matrix is only centered.  The
+    moments have the bits of ``off.mean()`` and ``off.std()`` over
+    ``off = S[~eye]``, summed a band of rows at a time without making
+    ``off``; the map ``(s - mean) / std`` then runs entry by entry over the
+    condensed storage into a new matrix.
     """
-    S = np.asarray(scores, dtype=float)
-    if S.shape[0] < 2:
-        return np.zeros_like(S)
-    off = S[~np.eye(S.shape[0], dtype=bool)]
-    mu = off.mean()
-    # np.std's own steps, squared in place on this copy
-    off -= mu
-    off *= off
-    sd = np.sqrt(off.sum() / off.size)
-    del off
-    out = S - mu
-    if sd < 1e-12:
-        return out
-    out /= sd
-    return out
+    if sim.kind != "plda":
+        raise ValueError(f"only plda scores are standardized, got {sim.kind!r}")
+    n = len(sim)
+    if n < 2:
+        return SimilarityMatrix._from_condensed(
+            sim.recording_id, "plda", np.zeros(0), np.zeros(n)
+        )
+    count = n * (n - 1)
+    off = _off_diagonal(sim)
+    mu = _pairwise_sum(off, 0, count) / count
+
+    def squared_deviations(start: int, stop: int) -> np.ndarray:
+        # np.std's own steps: subtract the mean, then square in place
+        dev = off(start, stop) - mu
+        dev *= dev
+        return dev
+
+    sd = np.sqrt(_pairwise_sum(squared_deviations, 0, count) / count)
+    condensed = sim.condensed - mu
+    diagonal = sim.diagonal - mu
+    if sd >= 1e-12:
+        condensed /= sd
+        diagonal /= sd
+    return SimilarityMatrix._from_condensed(sim.recording_id, "plda", condensed, diagonal)
 
 
 def ground_truth_plda(spec: SyntheticSpec) -> PLDAModel:

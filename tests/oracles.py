@@ -19,6 +19,7 @@ import scipy.stats
 from diarkit.annotations import Annotation, ScoringRegions
 from diarkit.clustering import Partition, affinity, init_partition
 from diarkit.metrics import DERReport
+from diarkit.scoring import SimilarityMatrix
 
 
 def _dense(P) -> np.ndarray:
@@ -588,3 +589,35 @@ def jer_by_separate_grids(
         inter = float((R[i] & h).sum())
         errors.append(1.0 - inter / union if union > 0 else 1.0)
     return float(np.mean(errors))
+
+
+def dense_absorb_small_clusters(
+    partition: Partition, sim: SimilarityMatrix, min_size: int
+) -> Partition:
+    """Dense reference for ``absorb_small_clusters``: the same rule, read
+    from the whole square score matrix.
+
+    Attach clusters smaller than ``min_size`` to the nearest large one.
+    Outlier windows tend to survive agglomeration as one- or two-member
+    clusters that say nothing about the speaker count.  Each such cluster
+    joins the large cluster with the highest mean similarity to its members,
+    measured against the large clusters' original memberships so the result
+    does not depend on absorption order; ties pick the earlier cluster.  If
+    no cluster reaches ``min_size``, the largest one stands in as the only
+    anchor.  With ``min_size`` <= 1 the partition is returned unchanged.
+    """
+    if min_size <= 1 or len(partition) <= 1:
+        return partition
+    S = sim.scores
+    clusters = [list(c) for c in partition.clusters]
+    anchors = [idx for idx, c in enumerate(clusters) if len(c) >= min_size]
+    if not anchors:
+        biggest = max(len(c) for c in clusters)
+        anchors = [next(idx for idx, c in enumerate(clusters) if len(c) == biggest)]
+    merged = {idx: list(clusters[idx]) for idx in anchors}
+    for idx, members in enumerate(clusters):
+        if idx in merged:
+            continue
+        means = [S[np.ix_(members, clusters[a])].mean() for a in anchors]
+        merged[anchors[int(np.argmax(means))]].extend(members)
+    return Partition.from_clusters(merged.values())

@@ -31,7 +31,7 @@ from diarkit.pipeline import (
     windows_to_annotation,
 )
 from diarkit.reseg import PosteriorMatrix, parse_overlap_regions
-from diarkit.scoring import ground_truth_plda
+from diarkit.scoring import SimilarityMatrix, ground_truth_plda
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +274,27 @@ def test_run_wideband_vbx_without_plda_is_config_error():
         run_wideband(seq, reference, config)
 
 
-def test_run_wideband_peak_memory_below_four_score_matrices():
-    # allocation sizes are deterministic, so the traced peak is too: with
-    # the graph in CSR, no step holds more than two n x n float arrays,
-    # plus boolean masks and row-block temporaries
+def test_run_wideband_traced_peak_below_one_and_three_quarter_score_matrices():
+    # allocation sizes are deterministic, so the traced peak is too.  The
+    # scores are kept once, as the condensed upper triangle (0.5 n^2); the
+    # peak is the scorer's square next to it (1.5 n^2) plus one band of
+    # tiles, and every later step holds the condensed form plus row bands.
+    # tracemalloc does not see the copy of the condensed distances that
+    # scipy's linkage makes inside its nearest-neighbor chain, about
+    # 0.5 n^2, so the count estimate's true peak is also about 1.5 n^2.
+    # VBx reads no scores and is off to keep the run short.
     spec = SyntheticSpec.well_separated(
-        4, 16, separation=10.0, duration=150.0, seed=7, recording_id="mem"
+        4, 16, separation=10.0, duration=300.0, seed=7, recording_id="mem"
     )
     seq, _, _ = generate_synthetic(spec)
     plda = ground_truth_plda(spec)
     models = ModelSet(plda_score=plda, plda_vbx=plda)
-    config = PipelineConfig()
+    config = PipelineConfig.from_mapping(
+        {"vbx": {"enabled": False}, "clustering": {"min_cluster_windows": 5}}
+    )
     assert config.scoring.kind == "plda" and config.clustering.method == "pic"
     n = len(seq)
-    assert n > 500
+    assert n > 1000
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -296,7 +303,31 @@ def test_run_wideband_peak_memory_below_four_score_matrices():
     finally:
         tracemalloc.stop()
     assert len(hyp.speakers()) == 4
-    assert peak < 2.5 * n * n * 8
+    assert peak < 1.75 * n * n * 8
+
+
+@pytest.mark.parametrize(
+    "scoring, method",
+    [("plda", "pic"), ("cosine", "pic"), ("plda", "ahc")],
+)
+def test_run_wideband_never_rebuilds_the_square(monkeypatch, scoring, method):
+    def refuse(self):
+        raise AssertionError("the wideband route read SimilarityMatrix.scores")
+
+    monkeypatch.setattr(SimilarityMatrix, "scores", property(refuse))
+    seq, reference = _synthetic_recording()
+    plda = ground_truth_plda(
+        SyntheticSpec.well_separated(3, 16, separation=10.0, duration=60.0, seed=5)
+    )
+    config = PipelineConfig.from_mapping(
+        {
+            "scoring": {"kind": scoring, "cosine_pca_dim": 8},
+            # small clusters are absorbed, so that step reads scores too
+            "clustering": {"method": method, "min_cluster_windows": 5},
+        }
+    )
+    hyp = run_wideband(seq, reference, config, ModelSet(plda_score=plda, plda_vbx=plda))
+    assert len(hyp.speakers()) == len(reference.speakers())
 
 
 def test_run_narrowband_decodes_and_merges():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -323,6 +325,60 @@ def test_similarity_matrix_validation():
     assert np.array_equal(cos, cos.T)
 
 
+def test_similarity_matrix_stores_the_condensed_triangle():
+    rng = np.random.default_rng(31)
+    n = 600
+    raw = rng.normal(size=(n, n))
+    S = raw + raw.T
+    before = S.copy()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sim = SimilarityMatrix("r", S, kind="plda")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # half the square plus one band of tiles: no second n x n array or mask
+    assert peak < (0.5 * n * n + 4 * 128 * n) * 8
+    assert np.array_equal(S, before)
+    iu = np.triu_indices(n, 1)
+    assert np.array_equal(sim.condensed, S[iu]) and np.array_equal(sim.diagonal, np.diag(S))
+    assert not sim.condensed.flags.writeable and not sim.diagonal.flags.writeable
+    assert len(sim) == n
+    # each access rebuilds a new square
+    first = sim.scores
+    first[0, 1] += 1.0
+    assert np.array_equal(sim.scores, S)
+
+
+def test_similarity_matrix_rows_match_scores():
+    rng = np.random.default_rng(32)
+    for n in (2, 3, 255, 256, 257, 600):
+        raw = rng.normal(size=(n, n))
+        sim = SimilarityMatrix("r", raw + raw.T, kind="plda")
+        S = sim.scores
+        assert np.array_equal(S, raw + raw.T), n
+        # the k-NN graph's 256-row bands, single rows at the ends, and
+        # ranges that straddle the band and tile edges
+        ranges = [(r0, min(r0 + 256, n)) for r0 in range(0, n, 256)]
+        ranges += [(0, 1), (n - 1, n), (1, n), (0, n - 1), (n // 2, n // 2)]
+        ranges += [(a, b) for a, b in ((127, 129), (255, 257), (256, 257), (100, 600)) if b <= n]
+        for start, stop in ranges:
+            block = sim.rows(start, stop)
+            assert block.shape == (stop - start, n)
+            assert np.array_equal(block, S[start:stop]), (n, start, stop)
+        # [members x cluster] blocks, as small-cluster absorption reads them
+        for _ in range(5):
+            members = np.sort(rng.choice(n, size=min(n, 3), replace=False))
+            cols = np.sort(rng.choice(n, size=(n + 1) // 2, replace=False))
+            rows = np.concatenate([sim.rows(v, v + 1) for v in members])
+            assert np.array_equal(rows[:, cols], S[np.ix_(members, cols)]), n
+    with pytest.raises(ValueError, match="row range"):
+        sim.rows(5, 4)
+    with pytest.raises(ValueError, match="row range"):
+        sim.rows(0, 601)
+
+
 def test_sigmoid_weights_values():
     s = np.array([[0.0, 0.5], [0.5, 1.0]])
     w = sigmoid_weights(s, scale=2.0, offset=0.5)
@@ -345,23 +401,31 @@ def test_standardize_scores_moments():
     rng = np.random.default_rng(24)
     S = rng.standard_normal((20, 20)) * 7 + 3
     S = 0.5 * (S + S.T)
-    out = standardize_scores(S)
+    out = standardize_scores(SimilarityMatrix("r", S, kind="plda"))
+    assert out.kind == "plda" and len(out) == 20
+    z = out.scores
     off = ~np.eye(20, dtype=bool)
-    assert abs(out[off].mean()) < 1e-12
-    assert np.isclose(out[off].std(), 1.0)
-    # the same operations in the same order as the plain expression
-    assert np.array_equal(out, (S - S[off].mean()) / S[off].std())
-    # any square matrix; not symmetrized, so the 2 x 2 has a nonzero spread
-    for n in (2, 300, 1001):
+    assert abs(z[off].mean()) < 1e-12
+    assert np.isclose(z[off].std(), 1.0)
+    # the same operations in the same order as the plain expression; 2395
+    # windows spans several of the parts the moments are summed in
+    for n in (3, 300, 1001, 2395):
         S = rng.standard_normal((n, n)) * 7 + 3
+        S = 0.5 * (S + S.T)
         off = ~np.eye(n, dtype=bool)
-        assert np.array_equal(standardize_scores(S), (S - S[off].mean()) / S[off].std()), n
+        want = (S - S[off].mean()) / S[off].std()
+        assert np.array_equal(standardize_scores(SimilarityMatrix("r", S, kind="plda")).scores, want), n
 
 
 def test_standardize_scores_degenerate():
-    constant = np.full((4, 4), 2.5)
-    out = standardize_scores(constant)
+    constant = SimilarityMatrix("r", np.full((4, 4), 2.5), kind="plda")
+    out = standardize_scores(constant).scores
     off = ~np.eye(4, dtype=bool)
     assert np.allclose(out[off], 0.0)
-    single = np.array([[3.0]])
-    assert np.allclose(standardize_scores(single), 0.0)
+    # a symmetric 2 x 2 has one distinct off-diagonal score: centered only
+    pair = np.array([[1.0, 3.0], [3.0, 2.0]])
+    assert np.array_equal(standardize_scores(SimilarityMatrix("r", pair, kind="plda")).scores, pair - 3.0)
+    single = SimilarityMatrix("r", np.array([[3.0]]), kind="plda")
+    assert np.array_equal(standardize_scores(single).scores, np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="plda"):
+        standardize_scores(SimilarityMatrix("r", np.eye(3), kind="cosine"))

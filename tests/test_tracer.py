@@ -2,7 +2,9 @@
 
 The tracer wraps diarkit names by ``owner.__dict__[attr]``, so renaming or
 removing one of them breaks every traced benchmark run.  This test loads the
-tracer from its file and runs one small corpus under it.
+tracer from its file and runs one small corpus under it, checking that each
+wrapped layer still records time and that the score-pair count is n^2 per
+recording.
 """
 
 import importlib.util
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import diarkit.clustering
+import diarkit.pipeline
 from diarkit.pipeline import PipelineConfig, run_corpus, synthesize_corpus
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -31,7 +34,7 @@ def tracer_module():
         del sys.modules[spec.name]
 
 
-def test_tracer_sees_every_traced_layer(tracer_module, tmp_path):
+def test_tracer_sees_every_traced_layer(tracer_module, tmp_path, monkeypatch):
     # two 60 s recordings, plda+pic with VBx: the synthesized config's defaults
     config_path = synthesize_corpus(
         tmp_path / "corpus", num_recordings=2, min_speakers=2, max_speakers=3, duration=60.0, seed=5
@@ -40,6 +43,15 @@ def test_tracer_sees_every_traced_layer(tracer_module, tmp_path):
     assert config.scoring.kind == "plda" and config.clustering.method == "pic"
     assert config.vbx.enabled
     originals = (diarkit.clustering.path_integral, np.linalg.solve)
+    # count each recording's kept windows under the tracer's own wrapper
+    kept = []
+    score = diarkit.pipeline.score_plda_matrix
+
+    def counting_score(sub, *args, **kwargs):
+        kept.append(len(sub))
+        return score(sub, *args, **kwargs)
+
+    monkeypatch.setattr(diarkit.pipeline, "score_plda_matrix", counting_score)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with tracer_module.Tracer(caught) as tracer:
@@ -53,12 +65,16 @@ def test_tracer_sees_every_traced_layer(tracer_module, tmp_path):
         busy[span.name] = busy.get(span.name, 0.0) + span.end - span.start
     layers = (
         "scoring.plda",
+        "scoring.standardize",
         "clustering.estimate",
         "clustering.knn",
         "clustering.pic",
+        "clustering.absorb",
         "reseg.vbx",
     )
     for name in layers:
         assert busy.get(name, 0.0) > 0.0, name
     assert tracer.counts["clustering.pic_merge.solves"] > 0
     assert tracer.counts["clustering.pic_merge.path_integrals"] > 0
+    assert len(kept) == 2 and min(kept) > 1
+    assert tracer.counts["scoring.pairs"] == sum(n * n for n in kept)
