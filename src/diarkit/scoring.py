@@ -6,10 +6,13 @@ recording-level PCA keeping 30% of the total energy, with the model
 congruence-transformed into the projected space.  Either score matrix can be
 squashed into graph edge weights with :func:`sigmoid_weights`.
 
-Both routes build the square score matrix with one matrix product and hand
-it to :class:`SimilarityMatrix`, which keeps each recording's scores once:
-the condensed upper triangle in scipy ``squareform`` order plus the
-diagonal.  Every later step reads that storage, through
+Both routes build the square score matrix with one matrix product and
+condense it inside its own buffer: the checked ``0.5 * (S + S.T)`` is
+written over the square as the condensed upper triangle in scipy
+``squareform`` order, the n self-scores go to a separate array, and the
+buffer is shrunk to the triangle and kept by a :class:`SimilarityMatrix`.
+So each recording's scores live in one buffer from the matrix product to
+the average-linkage tree.  Every later step reads that storage, through
 :meth:`SimilarityMatrix.rows` or the cached average-linkage tree, so after
 scoring no n x n array is made; ``SimilarityMatrix.scores`` rebuilds the
 square for callers outside that route.
@@ -240,6 +243,44 @@ def _all_finite(*arrays: np.ndarray) -> bool:
     )
 
 
+def _condense_into(S: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
+    """Check the square score matrix S and write ``0.5 * (S + S.T)`` into
+    ``out`` as its condensed upper triangle; return the diagonal as a new
+    array.
+
+    S must be square, finite and symmetric within 1e-6; the symmetry check
+    takes the largest |S - S.T| over the same tile-by-tile pass that writes
+    the triangle.  Cosine scores must also lie in [-1, 1] with a diagonal of
+    1, checked on S before anything is written.  ``out`` may be S's own
+    buffer, ``S.reshape(-1)``: band ``r0:r1`` of the triangle is written
+    only after the band's last tile is read, and it ends at
+    ``starts[r1] <= r1 * n``, before every row that is still to be read.
+    """
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError(f"score matrix must be square, got {S.shape}")
+    if not _all_finite(S):
+        raise ValueError("score matrix must be finite")
+    n = S.shape[0]
+    if kind == "cosine" and n:
+        if S.min() < -1.0 - 1e-9 or S.max() > 1.0 + 1e-9:
+            raise ValueError("cosine scores must lie in [-1, 1]")
+        if np.abs(np.diag(S) - 1.0).max() > 1e-6:
+            raise ValueError("cosine diagonal must be 1")
+    starts = _row_starts(n)
+    diagonal = np.empty(n)
+    band = np.empty((_TILE, n))  # the tiles of one band of rows
+    for r0, c0, tile, spread in _symmetric_tiles(S):
+        if spread > 1e-6:
+            raise ValueError("score matrix must be symmetric within 1e-6")
+        r1, c1 = r0 + tile.shape[0], c0 + tile.shape[1]
+        band[: r1 - r0, c0:c1] = tile
+        if c1 == n:
+            for i in range(r0, r1):
+                diagonal[i] = band[i - r0, i]
+                out[starts[i] : starts[i + 1]] = band[i - r0, i + 1 :]
+    return diagonal
+
+
 @dataclass(frozen=True, init=False)
 class SimilarityMatrix:
     """Symmetric pairwise score matrix for one recording, stored once.
@@ -252,8 +293,10 @@ class SimilarityMatrix:
 
     The input to the constructor must be square, finite and symmetric within
     1e-6; the check takes the largest |S - S.T| over the same tile-by-tile
-    pass that stores ``0.5 * (S + S.T)``.  The input is never modified, and
-    no second n x n array is made from it.
+    pass that stores ``0.5 * (S + S.T)``.  The public constructor writes
+    into new storage, so it never modifies its input and makes no second
+    n x n array from it; only the scorers of this module condense a square
+    inside its own buffer, which they own.
     """
 
     recording_id: str
@@ -265,30 +308,19 @@ class SimilarityMatrix:
         if kind not in ("cosine", "plda"):
             raise ValueError(f"unknown score kind {kind!r}")
         S = np.asarray(scores, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError(f"score matrix must be square, got {S.shape}")
-        if not _all_finite(S):
-            raise ValueError("score matrix must be finite")
-        n = S.shape[0]
-        starts = _row_starts(n)
-        condensed = np.empty(starts[n])
-        diagonal = np.empty(n)
-        band = np.empty((_TILE, n))  # the tiles of one band of rows
-        for r0, c0, tile, spread in _symmetric_tiles(S):
-            if spread > 1e-6:
-                raise ValueError("score matrix must be symmetric within 1e-6")
-            r1, c1 = r0 + tile.shape[0], c0 + tile.shape[1]
-            band[: r1 - r0, c0:c1] = tile
-            if c1 == n:
-                for i in range(r0, r1):
-                    diagonal[i] = band[i - r0, i]
-                    condensed[starts[i] : starts[i + 1]] = band[i - r0, i + 1 :]
-        if kind == "cosine" and n:
-            if S.min() < -1.0 - 1e-9 or S.max() > 1.0 + 1e-9:
-                raise ValueError("cosine scores must lie in [-1, 1]")
-            if np.abs(np.diag(S) - 1.0).max() > 1e-6:
-                raise ValueError("cosine diagonal must be 1")
+        n = S.shape[0] if S.ndim == 2 else 0
+        condensed = np.empty(n * (n - 1) // 2)
+        diagonal = _condense_into(S, condensed, kind)
         self._store(recording_id, kind, condensed, diagonal)
+
+    @classmethod
+    def _wrap(
+        cls, recording_id: str, kind: str, condensed: np.ndarray, diagonal: np.ndarray
+    ) -> "SimilarityMatrix":
+        """Take over condensed storage that is already checked."""
+        sim = cls.__new__(cls)
+        sim._store(recording_id, kind, condensed, diagonal)
+        return sim
 
     @classmethod
     def _from_condensed(
@@ -298,9 +330,7 @@ class SimilarityMatrix:
         elementwise map, so symmetric by construction."""
         if not _all_finite(condensed, diagonal):
             raise ValueError("score matrix must be finite")
-        sim = cls.__new__(cls)
-        sim._store(recording_id, kind, condensed, diagonal)
-        return sim
+        return cls._wrap(recording_id, kind, condensed, diagonal)
 
     def _store(self, recording_id, kind, condensed, diagonal) -> None:
         condensed.flags.writeable = False
@@ -366,11 +396,24 @@ class SimilarityMatrix:
         """scipy linkage matrix of average-linkage clustering on the negated
         scores, built on first use and kept.
 
-        Negation is exact, so each merge height is the negated
-        similarity-space linkage.  scipy takes the condensed vector as it is
-        stored and builds the tree by the nearest-neighbor chain in O(n^2).
+        The triangle is negated in place while scipy builds the tree, and
+        negated back and made read-only again afterwards, also when scipy
+        raises.  Negation is exact, so each merge height is the negated
+        similarity-space linkage and the stored bits are unchanged.  scipy
+        takes the C-ordered float64 vector as it is; only its
+        nearest-neighbor chain, which builds the tree in O(n^2), works on a
+        copy.  While the first tree is built the matrix must not be read
+        from another thread; the pipeline keeps one matrix per recording,
+        so it never is.
         """
-        return linkage(np.negative(self.condensed), method="average")
+        distances = self.condensed
+        distances.flags.writeable = True
+        np.negative(distances, out=distances)
+        try:
+            return linkage(distances, method="average")
+        finally:
+            np.negative(distances, out=distances)
+            distances.flags.writeable = False
 
 
 def _vectors_and_id(embeddings, recording_id: str):
@@ -397,7 +440,10 @@ def cosine_similarity(embeddings, pca: PCAModel, recording_id: str = "recording"
     S[degenerate, :] = 0.0
     S[:, degenerate] = 0.0
     np.fill_diagonal(S, 1.0)
-    return SimilarityMatrix(rec, S, kind="cosine")
+    diagonal = _condense_into(S, S.reshape(-1), "cosine")
+    # this frame holds the only reference to S, so it can give back the tail
+    S.resize(len(diagonal) * (len(diagonal) - 1) // 2)
+    return SimilarityMatrix._wrap(rec, "cosine", S, diagonal)
 
 
 class _PairwiseScorer:
@@ -474,8 +520,11 @@ def score_plda_matrix(
         between=pca.basis.T @ model.between @ pca.basis,
         within=pca.basis.T @ model.within @ pca.basis,
     )
-    scorer = _PairwiseScorer(projected_model)
-    return SimilarityMatrix(rec, scorer.matrix(pca.project(X)), kind="plda")
+    S = _PairwiseScorer(projected_model).matrix(pca.project(X))
+    diagonal = _condense_into(S, S.reshape(-1), "plda")
+    # this frame holds the only reference to S, so it can give back the tail
+    S.resize(len(diagonal) * (len(diagonal) - 1) // 2)
+    return SimilarityMatrix._wrap(rec, "plda", S, diagonal)
 
 
 def sigmoid_weights(scores: np.ndarray, scale: float = 1.0, offset: float = 0.0) -> np.ndarray:

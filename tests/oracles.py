@@ -17,7 +17,7 @@ import scipy.special
 import scipy.stats
 
 from diarkit.annotations import Annotation, ScoringRegions
-from diarkit.clustering import Partition, affinity, init_partition
+from diarkit.clustering import Partition, _pair_gain, init_partition, path_integral
 from diarkit.metrics import DERReport
 from diarkit.scoring import SimilarityMatrix
 
@@ -115,10 +115,13 @@ def brute_force_pic_trace(graph, target, z):
     exactly zero (no walk can cross between them), so the reference scores
     such pairs as 0.0 rather than letting roundoff from a needless solve
     decide their order; ties then fall to the smallest index pair, matching
-    the documented merge rule.
+    the documented merge rule.  Each cluster's own path integral is solved
+    once, when the cluster is made, and every pair is scored by the
+    expression ``affinity`` evaluates, so the values keep its bits.
     """
     P = graph.transition.toarray()
-    clusters = [list(c) for c in init_partition(graph).clusters]
+    clusters = [sorted(c) for c in init_partition(graph).clusters]
+    own = [path_integral(graph, c, z) for c in clusters]
     trace = []
     while len(clusters) > target:
         best_val = -np.inf
@@ -127,7 +130,9 @@ def brute_force_pic_trace(graph, target, z):
             for j in range(i + 1, len(clusters)):
                 a, b = clusters[i], clusters[j]
                 if P[np.ix_(a, b)].any() or P[np.ix_(b, a)].any():
-                    val = affinity(graph, a, b, z)
+                    val = _pair_gain(
+                        graph.transition, np.asarray(a), np.asarray(b), z, own[i], own[j]
+                    )
                 else:
                     val = 0.0
                 if val > best_val:
@@ -136,7 +141,8 @@ def brute_force_pic_trace(graph, target, z):
         i, j = best
         trace.append((tuple(clusters[i]), tuple(clusters[j])))
         clusters[i] = sorted(clusters[i] + clusters[j])
-        del clusters[j]
+        own[i] = path_integral(graph, clusters[i], z)
+        del clusters[j], own[j]
     return Partition.from_clusters(clusters), trace
 
 

@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import linkage
 
 from oracles import estimate_plda_from_labels, joint_gaussian_llr
 
+from diarkit import scoring
 from diarkit.embeddings import SyntheticSpec, generate_synthetic
 from diarkit.scoring import (
     PCAModel,
@@ -377,6 +379,101 @@ def test_similarity_matrix_rows_match_scores():
         sim.rows(5, 4)
     with pytest.raises(ValueError, match="row range"):
         sim.rows(0, 601)
+
+
+def _scorer_inputs(n, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 12))
+    model = PLDAModel(np.zeros(12), random_psd(rng, 12), random_pd(rng, 12))
+    return X, model, identity_pca(12)
+
+
+@pytest.mark.parametrize("kind", ["plda", "cosine"])
+def test_scorers_condense_in_their_own_buffer(monkeypatch, kind):
+    # the scorers check and condense the square in its own buffer: the
+    # result has the bits of the public constructor on the same square
+    squares = []
+    condense = scoring._condense_into
+
+    def keep_square(S, out, kind):
+        squares.append(S.copy())
+        return condense(S, out, kind)
+
+    monkeypatch.setattr(scoring, "_condense_into", keep_square)
+    for n in (1, 2, 3, 128, 129, 600) if kind == "cosine" else (2, 3, 128, 129, 600):
+        X, model, pca = _scorer_inputs(n, n)
+        if kind == "plda":
+            sim = score_plda_matrix(X, model, energy_fraction=0.5, recording_id="r")
+        else:
+            sim = cosine_similarity(X, pca, recording_id="r")
+        want = SimilarityMatrix("r", squares.pop(), kind=kind)
+        assert (sim.recording_id, sim.kind, len(sim)) == ("r", kind, n)
+        assert np.array_equal(sim.condensed, want.condensed), n
+        assert np.array_equal(sim.diagonal, want.diagonal), n
+        # the buffer was shrunk to the triangle and is owned by the matrix
+        assert sim.condensed.shape == (n * (n - 1) // 2,) and sim.condensed.base is None
+        assert not sim.condensed.flags.writeable and not sim.diagonal.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["plda", "cosine"])
+def test_scorers_peak_below_one_square(kind):
+    # the GEMM's square is the only n x n array; it is shrunk to the
+    # condensed triangle (0.5 n^2) before the scorer returns
+    n = 2000
+    X, model, pca = _scorer_inputs(n, 33)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if kind == "plda":
+            sim = score_plda_matrix(X, model, energy_fraction=0.5)
+        else:
+            sim = cosine_similarity(X, pca)
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(sim) == n
+    assert peak < (n * n + 4 * 128 * n) * 8
+    assert kept < (0.5 * n * n + 4 * n) * 8
+
+
+def test_average_linkage_negates_the_stored_triangle_in_place():
+    rng = np.random.default_rng(34)
+    n = 2000
+    raw = rng.normal(size=(n, n))
+    sim = SimilarityMatrix("r", raw + raw.T, kind="plda")
+    stored = sim.condensed.copy()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tree = sim.average_linkage
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # no negated copy of the triangle; scipy's own copy inside the
+    # nearest-neighbor chain is not traced
+    assert peak < 0.1 * n * n * 8
+    assert np.array_equal(tree, linkage(-stored, method="average"))
+    assert np.array_equal(sim.condensed, stored) and not sim.condensed.flags.writeable
+    assert sim.average_linkage is tree
+
+
+def test_average_linkage_restores_the_triangle_when_scipy_raises(monkeypatch):
+    rng = np.random.default_rng(35)
+    raw = rng.normal(size=(40, 40))
+    sim = SimilarityMatrix("r", raw + raw.T, kind="plda")
+    stored = sim.condensed.copy()
+
+    def fail(distances, method):
+        assert np.array_equal(distances, -stored)
+        raise RuntimeError("linkage failed")
+
+    monkeypatch.setattr(scoring, "linkage", fail)
+    with pytest.raises(RuntimeError, match="linkage failed"):
+        sim.average_linkage
+    assert np.array_equal(sim.condensed, stored) and not sim.condensed.flags.writeable
+    monkeypatch.undo()
+    assert np.array_equal(sim.average_linkage, linkage(-stored, method="average"))
+    assert np.array_equal(sim.condensed, stored) and not sim.condensed.flags.writeable
 
 
 def test_sigmoid_weights_values():
