@@ -35,7 +35,7 @@ from .pipeline import (
 def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
     parser.add_argument("--config", required=config_required, metavar="PATH", help="pipeline config YAML")
     parser.add_argument("--output", metavar="DIR", help="output directory")
-    parser.add_argument("--workers", type=int, default=1, metavar="N", help="parallel recordings")
+    parser.add_argument("--workers", type=int, default=1, metavar="N", help="ignored; recordings run one after another")
     parser.add_argument("--seed", type=int, default=None, metavar="N", help="override config seed")
     parser.add_argument(
         "--subset",

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
@@ -584,8 +583,9 @@ def run_corpus(
     Outputs under ``output_dir``: ``hyp/<recording>.rttm``, ``manifest.txt``
     and, when a reference is configured, ``report.txt``/``report.tsv``.
     Recording failures are isolated: the recording is marked failed in the
-    manifest and the rest of the corpus proceeds.  Results do not depend on
-    ``workers``.
+    manifest and the rest of the corpus proceeds.  Recordings run one after
+    another whatever ``workers`` is, so results do not depend on it; the
+    parameter is kept for callers that pass it.
     """
     out = Path(output_dir)
     (out / "hyp").mkdir(parents=True, exist_ok=True)
@@ -653,11 +653,7 @@ def run_corpus(
         except Exception as exc:  # noqa: BLE001 - per-recording isolation
             return rec, None, str(exc), time.perf_counter() - start
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            results = list(pool_exec.map(process, recordings))
-    else:
-        results = [process(rec) for rec in recordings]
+    results = [process(rec) for rec in recordings]
 
     entries = []
     hypotheses: dict[str, Annotation] = {}

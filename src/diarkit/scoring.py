@@ -7,10 +7,11 @@ congruence-transformed into the projected space.  Either score matrix can be
 squashed into graph edge weights with :func:`sigmoid_weights`.
 
 Both routes build the square score matrix with one matrix product and
-condense it inside its own buffer: the checked ``0.5 * (S + S.T)`` is
-written over the square as the condensed upper triangle in scipy
-``squareform`` order, the n self-scores go to a separate array, and the
-buffer is shrunk to the triangle and kept by a :class:`SimilarityMatrix`.
+condense it inside its own buffer: the product is checked as it is, and
+``0.5 * (S + S.T)``, the only symmetrization, is written over the square
+as the condensed upper triangle in scipy ``squareform`` order.  The n
+self-scores go to a separate array, and the buffer is shrunk to the
+triangle and kept by a :class:`SimilarityMatrix`.
 So each recording's scores live in one buffer from the matrix product to
 the average-linkage tree.  Every later step reads that storage, through
 :meth:`SimilarityMatrix.rows` or the cached average-linkage tree, so after
@@ -199,37 +200,6 @@ _TILE = 128
 _GATHER = 1 << 15  # entries per gathered chunk of mirrored scores
 
 
-def _symmetric_tiles(S: np.ndarray):
-    """Yield ``(r0, c0, tile, spread)`` for each tile on or above the
-    diagonal, row by row: ``tile`` holds ``0.5 * (S + S.T)`` over rows
-    ``r0:r0 + _TILE`` and columns ``c0:c0 + _TILE``, and ``spread`` is the
-    largest |S - S.T| over it.
-
-    Both mirror tiles are read before the yield and no later tile reads
-    them, so a caller may write the tile and its transpose back into S.  An
-    entry below the diagonal gets the bits of its mirror above it, which are
-    the bits of the full-matrix expression because floating-point addition
-    is commutative.
-    """
-    n = S.shape[0]
-    for r0 in range(0, n, _TILE):
-        for c0 in range(r0, n, _TILE):
-            upper = S[r0 : r0 + _TILE, c0 : c0 + _TILE]
-            lower_t = S[c0 : c0 + _TILE, r0 : r0 + _TILE].T
-            spread = float(np.abs(upper - lower_t).max())
-            tile = upper + lower_t
-            tile *= 0.5
-            yield r0, c0, tile, spread
-
-
-def _symmetrize(S: np.ndarray) -> None:
-    """Overwrite S with ``0.5 * (S + S.T)``, tile by tile."""
-    for r0, c0, tile, _ in _symmetric_tiles(S):
-        r1, c1 = r0 + tile.shape[0], c0 + tile.shape[1]
-        S[r0:r1, c0:c1] = tile
-        S[c0:c1, r0:r1] = tile.T
-
-
 def _row_starts(n: int) -> np.ndarray:
     """Offset of each row's strictly-upper part in the condensed vector, plus its length."""
     i = np.arange(n + 1)
@@ -248,13 +218,20 @@ def _condense_into(S: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
     ``out`` as its condensed upper triangle; return the diagonal as a new
     array.
 
+    This is the only place where scores are symmetrized: the scorers hand
+    over their matrix product as it is, so the checks see the raw product.
     S must be square, finite and symmetric within 1e-6; the symmetry check
     takes the largest |S - S.T| over the same tile-by-tile pass that writes
     the triangle.  Cosine scores must also lie in [-1, 1] with a diagonal of
-    1, checked on S before anything is written.  ``out`` may be S's own
-    buffer, ``S.reshape(-1)``: band ``r0:r1`` of the triangle is written
-    only after the band's last tile is read, and it ends at
-    ``starts[r1] <= r1 * n``, before every row that is still to be read.
+    1, checked on S before anything is written.
+
+    The pass runs over the tiles on or above the diagonal, a band of
+    ``_TILE`` rows at a time.  An entry below the diagonal gets the bits of
+    its mirror above it, which are the bits of the full-matrix expression
+    because floating-point addition is commutative.  ``out`` may be S's own
+    buffer, ``S.reshape(-1)``: both mirror tiles are read before the band is
+    written, and band ``r0:r1`` of the triangle ends at ``starts[r1] <= r1 *
+    n``, before every row that is still to be read.
     """
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"score matrix must be square, got {S.shape}")
@@ -269,15 +246,19 @@ def _condense_into(S: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
     starts = _row_starts(n)
     diagonal = np.empty(n)
     band = np.empty((_TILE, n))  # the tiles of one band of rows
-    for r0, c0, tile, spread in _symmetric_tiles(S):
-        if spread > 1e-6:
-            raise ValueError("score matrix must be symmetric within 1e-6")
-        r1, c1 = r0 + tile.shape[0], c0 + tile.shape[1]
-        band[: r1 - r0, c0:c1] = tile
-        if c1 == n:
-            for i in range(r0, r1):
-                diagonal[i] = band[i - r0, i]
-                out[starts[i] : starts[i + 1]] = band[i - r0, i + 1 :]
+    for r0 in range(0, n, _TILE):
+        r1 = min(r0 + _TILE, n)
+        for c0 in range(r0, n, _TILE):
+            upper = S[r0:r1, c0 : c0 + _TILE]
+            lower_t = S[c0 : c0 + _TILE, r0:r1].T
+            if np.abs(upper - lower_t).max() > 1e-6:
+                raise ValueError("score matrix must be symmetric within 1e-6")
+            tile = band[: r1 - r0, c0 : c0 + _TILE]
+            np.add(upper, lower_t, out=tile)
+            tile *= 0.5
+        for i in range(r0, r1):
+            diagonal[i] = band[i - r0, i]
+            out[starts[i] : starts[i + 1]] = band[i - r0, i + 1 :]
     return diagonal
 
 
@@ -403,8 +384,8 @@ class SimilarityMatrix:
         takes the C-ordered float64 vector as it is; only its
         nearest-neighbor chain, which builds the tree in O(n^2), works on a
         copy.  While the first tree is built the matrix must not be read
-        from another thread; the pipeline keeps one matrix per recording,
-        so it never is.
+        from another thread; the pipeline starts no threads and keeps one
+        matrix per recording, so it never is.
         """
         distances = self.condensed
         distances.flags.writeable = True
@@ -434,7 +415,6 @@ def cosine_similarity(embeddings, pca: PCAModel, recording_id: str = "recording"
     safe = np.where(norms > 0, norms, 1.0)
     unit = proj / safe[:, None]
     S = unit @ unit.T
-    _symmetrize(S)
     np.clip(S, -1.0, 1.0, out=S)
     degenerate = norms == 0
     S[degenerate, :] = 0.0
@@ -489,15 +469,18 @@ class _PairwiseScorer:
             part *= 0.5
             np.subtract(self.const, part, out=part)
             np.subtract(part, S[rows], out=S[rows])
-        _symmetrize(S)
         return S
 
 
 def plda_llr(model: PLDAModel, x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """Log-likelihood ratio of same-speaker vs different-speaker hypotheses."""
+    """Log-likelihood ratio of same-speaker vs different-speaker hypotheses.
+
+    The off-diagonal entry of the pair's 2 x 2 score matrix, checked and
+    symmetrized like every score matrix.
+    """
     scorer = _PairwiseScorer(model)
     X = np.vstack([np.asarray(x_i, dtype=float), np.asarray(x_j, dtype=float)])
-    return float(scorer.matrix(X)[0, 1])
+    return float(SimilarityMatrix("pair", scorer.matrix(X), "plda").condensed[0])
 
 
 def score_plda_matrix(
@@ -535,69 +518,17 @@ def sigmoid_weights(scores: np.ndarray, scale: float = 1.0, offset: float = 0.0)
     return scipy.special.expit(scale * (s - offset))
 
 
-_LEAF = 1 << 16  # entries per part summed by np.add.reduce
-_BAND = 256  # rows gathered at a time for the moments
-
-
-def _pairwise_sum(values, start: int, stop: int) -> float:
-    """numpy's pairwise sum of a virtual array, read through ``values(start, stop)``.
-
-    numpy splits a sum of L > 128 entries at L // 2 rounded down to a
-    multiple of 8 and adds the halves' sums; this follows the same split
-    and hands each part of at most ``_LEAF`` entries to ``np.add.reduce``,
-    which carries on the split inside it.  So the result has the bits of
-    ``np.add.reduce`` over the whole array, which is never made; the parts
-    are requested in ascending order.
-    """
-    length = stop - start
-    if length <= _LEAF:
-        return np.add.reduce(values(start, stop))
-    half = length // 2
-    half -= half % 8
-    return _pairwise_sum(values, start, start + half) + _pairwise_sum(values, start + half, stop)
-
-
-def _off_diagonal(sim: SimilarityMatrix):
-    """``values(start, stop)`` for the virtual array ``S[~eye]``: the
-    off-diagonal scores in row-major order, as a read-only view.
-
-    Rows are gathered ``_BAND`` at a time, or more when one request spans
-    more; requests that ascend through the array reuse the last gather.
-    """
-    n = len(sim)
-    width = n - 1
-    lo, hi, flat = 0, 0, np.zeros(0)
-
-    def values(start: int, stop: int) -> np.ndarray:
-        nonlocal lo, hi, flat
-        if not lo <= start <= stop <= hi:
-            r0 = start // width
-            r1 = min(n, max(r0 + _BAND, -(-stop // width)))
-            # the band's row k has its diagonal at r0 + k (n + 1) in ``block``:
-            # copy the runs before, between and after those entries
-            block = sim.rows(r0, r1).ravel()
-            last = r0 + (r1 - r0 - 1) * (n + 1)
-            mid = (r1 - r0 - 1) * n
-            lo, hi, flat = r0 * width, r1 * width, np.empty((r1 - r0) * width)
-            flat[:r0] = block[:r0]
-            between = block[r0 + 1 : last + 1].reshape(-1, n + 1)[:, :n]
-            flat[r0 : r0 + mid].reshape(-1, n)[:] = between
-            flat[r0 + mid :] = block[last + 1 :]
-            flat.flags.writeable = False
-        return flat[start - lo : stop - lo]
-
-    return values
-
-
 def standardize_scores(sim: SimilarityMatrix) -> SimilarityMatrix:
     """Affine map of PLDA scores to zero mean, unit variance.
 
     Statistics come from the off-diagonal entries (self-scores are outliers
-    for ratio-based scores).  A constant matrix is only centered.  The
-    moments have the bits of ``off.mean()`` and ``off.std()`` over
-    ``off = S[~eye]``, summed a band of rows at a time without making
-    ``off``; the map ``(s - mean) / std`` then runs entry by entry over the
-    condensed storage into a new matrix.
+    for ratio-based scores): ``mean()`` and ``std()`` of the stored condensed
+    triangle.  Each off-diagonal score is a triangle entry that appears
+    twice, so these equal the moments of ``S[~eye]`` in exact arithmetic and
+    differ only in summation order; ``np.std`` makes one temporary of
+    0.5 n^2 entries.  A constant matrix is only centered.  The map
+    ``(s - mean) / std`` runs entry by entry over the condensed storage into
+    a new matrix, so the input is never modified.
     """
     if sim.kind != "plda":
         raise ValueError(f"only plda scores are standardized, got {sim.kind!r}")
@@ -606,17 +537,8 @@ def standardize_scores(sim: SimilarityMatrix) -> SimilarityMatrix:
         return SimilarityMatrix._from_condensed(
             sim.recording_id, "plda", np.zeros(0), np.zeros(n)
         )
-    count = n * (n - 1)
-    off = _off_diagonal(sim)
-    mu = _pairwise_sum(off, 0, count) / count
-
-    def squared_deviations(start: int, stop: int) -> np.ndarray:
-        # np.std's own steps: subtract the mean, then square in place
-        dev = off(start, stop) - mu
-        dev *= dev
-        return dev
-
-    sd = np.sqrt(_pairwise_sum(squared_deviations, 0, count) / count)
+    mu = sim.condensed.mean()
+    sd = sim.condensed.std()
     condensed = sim.condensed - mu
     diagonal = sim.diagonal - mu
     if sd >= 1e-12:

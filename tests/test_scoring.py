@@ -415,6 +415,37 @@ def test_scorers_condense_in_their_own_buffer(monkeypatch, kind):
         assert not sim.condensed.flags.writeable and not sim.diagonal.flags.writeable
 
 
+def test_plda_symmetry_check_sees_the_raw_product(monkeypatch):
+    # the scorer's square reaches the 1e-6 symmetry check as the matrix
+    # product left it, so a skew is reported rather than averaged away
+    X, model, _ = _scorer_inputs(50, 37)
+    matrix = scoring._PairwiseScorer.matrix
+
+    def skewed_square(self, X):
+        S = matrix(self, X)
+        S[0, 1] += 1e-3
+        return S
+
+    monkeypatch.setattr(scoring._PairwiseScorer, "matrix", skewed_square)
+    with pytest.raises(ValueError, match="symmetric"):
+        score_plda_matrix(X, model, energy_fraction=0.5)
+    monkeypatch.undo()
+
+    # a skewed cross-term form makes the product itself asymmetric
+    init = scoring._PairwiseScorer.__init__
+
+    def skewed_form(self, model):
+        init(self, model)
+        self.N = self.N.copy()
+        self.N[0, 1] += 1e-3
+
+    monkeypatch.setattr(scoring._PairwiseScorer, "__init__", skewed_form)
+    with pytest.raises(ValueError, match="symmetric"):
+        score_plda_matrix(X, model, energy_fraction=0.5)
+    with pytest.raises(ValueError, match="symmetric"):
+        plda_llr(model, X[0], X[1])
+
+
 @pytest.mark.parametrize("kind", ["plda", "cosine"])
 def test_scorers_peak_below_one_square(kind):
     # the GEMM's square is the only n x n array; it is shrunk to the
@@ -504,14 +535,39 @@ def test_standardize_scores_moments():
     off = ~np.eye(20, dtype=bool)
     assert abs(z[off].mean()) < 1e-12
     assert np.isclose(z[off].std(), 1.0)
-    # the same operations in the same order as the plain expression; 2395
-    # windows spans several of the parts the moments are summed in
+    # the moments are those of the stored triangle: the map has the bits
+    # of the plain expression over t = S[triu]
     for n in (3, 300, 1001, 2395):
         S = rng.standard_normal((n, n)) * 7 + 3
         S = 0.5 * (S + S.T)
-        off = ~np.eye(n, dtype=bool)
-        want = (S - S[off].mean()) / S[off].std()
+        t = S[np.triu_indices(n, 1)]
+        want = (S - t.mean()) / t.std()
         assert np.array_equal(standardize_scores(SimilarityMatrix("r", S, kind="plda")).scores, want), n
+    # here both of the triangle's moments differ in bits from those of
+    # S[~eye], which they equal only in exact arithmetic, so the oracle
+    # above is the definition rather than a match by chance
+    S = np.random.default_rng(0).standard_normal((129, 129)) * 7 + 3
+    S = 0.5 * (S + S.T)
+    off = ~np.eye(129, dtype=bool)
+    t = S[np.triu_indices(129, 1)]
+    assert t.mean() != S[off].mean() and t.std() != S[off].std()
+    got = standardize_scores(SimilarityMatrix("r", S, kind="plda")).scores
+    assert np.array_equal(got, (S - t.mean()) / t.std())
+    assert not np.array_equal(got, (S - S[off].mean()) / S[off].std())
+
+
+def test_standardize_scores_leaves_its_input_untouched():
+    rng = np.random.default_rng(36)
+    raw = rng.normal(size=(300, 300)) * 5 + 2
+    sim = SimilarityMatrix("r", raw + raw.T, kind="plda")
+    tree = sim.average_linkage
+    kept = (sim.condensed.copy(), sim.diagonal.copy(), tree.copy())
+    out = standardize_scores(sim)
+    assert not np.shares_memory(out.condensed, sim.condensed)
+    assert not np.shares_memory(out.diagonal, sim.diagonal)
+    assert np.array_equal(sim.condensed, kept[0]) and np.array_equal(sim.diagonal, kept[1])
+    assert not sim.condensed.flags.writeable and not sim.diagonal.flags.writeable
+    assert sim.average_linkage is tree and np.array_equal(tree, kept[2])
 
 
 def test_standardize_scores_degenerate():
