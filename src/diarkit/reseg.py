@@ -11,6 +11,16 @@ one coordinate-ascent sweep (speaker posteriors, then state posteriors via
 forward-backward, then entry priors), so the evidence lower bound never
 decreases; this is checked every iteration.
 
+Forward-backward runs in the linear domain: each frame's emissions are
+scaled so the largest is 1, and the forward and backward messages become
+two chains of vector-matrix products.  Both chains run at once as blocked
+prefix products (``_chains``): the steps are cut into about sqrt(T) blocks
+whose partial products are built in one batched pass, then the block heads
+are walked in order, so a call takes about 2 sqrt(T) Python steps rather
+than 2T.  Every product is rescaled to max 1 (matrices) or sum 1 (vectors)
+with its log scale kept; none is ever zero because the sticky transition
+matrix is dense and strictly positive.
+
 ``decode_posteriors`` turns frame-level speaker posteriors into segments:
 threshold, fall back to the argmax speaker inside speech, median-filter,
 silence everything outside the speech regions, upsample to the fine frame
@@ -27,7 +37,6 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 import scipy.ndimage
-from scipy.special import logsumexp
 
 from . import container
 from .annotations import (
@@ -403,27 +412,89 @@ def _diagonalize_plda(plda: PLDAModel):
     return psi, U.T @ Linv
 
 
+def _chains(starts, mats, w):
+    """Run C chains ``x_k = (x_{k-1} mats[c]) * w[c, k-1]``, k = 1..K, in blocks.
+
+    ``starts`` is (C, S) with rows summing to 1, ``mats`` (C, S, S) and ``w``
+    (C, K, S) with K >= 1.  Returns ``(x, log_z)``: ``x[c, k-1]`` is x_k up to
+    a positive factor, and ``log_z[c]`` is the log of ``sum(x_K)`` exactly.
+
+    The K steps are cut into G blocks of L = ceil(sqrt(K)) steps.  The
+    partial products of every block are built together in L batched steps,
+    each scaled to max entry 1 with the log scales kept; then the G block
+    heads are walked in order, each scaled to sum 1; then every position is
+    its block head times a partial product.  That is about 2 sqrt(K) Python
+    steps in place of K.  The last block is padded with weights of one, and
+    ``log_z`` is read at step K, before the padding.
+
+    No scaled product or vector is ever zero, so no scale is 0 or inf: the
+    matrices are dense and strictly positive, and every weight row has an
+    entry of 1, so each partial product has a column that is positive in
+    every row, and a nonnegative head that sums to 1 keeps a positive entry
+    through it.
+    """
+    C, K, S = w.shape
+    L = int(np.ceil(np.sqrt(K)))
+    G = -(-K // L)
+    weights = np.ones((C, G * L, S))
+    weights[:, :K] = w
+    weights = weights.reshape(C, G, L, S)
+    prods = np.empty((C, G, L, S, S))
+    log_scale = np.empty((C, G, L))
+    cur = mats[:, None]
+    for j in range(L):
+        if j:
+            cur = cur @ mats[:, None]
+        cur = cur * weights[:, :, j, None, :]
+        scale = cur.max(axis=(2, 3))
+        cur /= scale[..., None, None]
+        prods[:, :, j] = cur
+        log_scale[:, :, j] = np.log(scale)
+    np.cumsum(log_scale, axis=2, out=log_scale)
+    heads = np.empty((C, G, S))
+    heads[:, 0] = starts
+    log_z = np.zeros(C)
+    for g in range(1, G):
+        v = (heads[:, g - 1, None] @ prods[:, g - 1, L - 1])[:, 0]
+        total = v.sum(axis=1)
+        heads[:, g] = v / total[:, None]
+        log_z += log_scale[:, g - 1, L - 1] + np.log(total)
+    x = (heads[:, :, None, None] @ prods).reshape(C, G * L, S)[:, :K]
+    log_z += log_scale[:, G - 1, K - 1 - (G - 1) * L] + np.log(x[:, K - 1].sum(axis=1))
+    return x, log_z
+
+
 def _forward_backward(logpi, logA, logB):
-    # the transition matrix is dense and strictly positive, so each recursion
-    # step is a max-shifted matrix product rather than a generic logsumexp
+    """State posteriors (T, S) and log-evidence of an HMM with dense,
+    strictly positive transitions ``exp(logA)``.
+
+    Linear domain: with ``A = exp(logA)`` and ``b_t = exp(logB_t - max_s
+    logB_t)``, so that every frame's largest emission is 1, the forward
+    message is ``alpha_t = (alpha_{t-1} A) * b_t``.  The backward message
+    runs as a forward chain too: ``u_t = (u_{t+1} A') * b_t`` from ``u_{T-1}
+    = b_{T-1}``, then ``beta_t = u_{t+1} A'`` and ``beta_{T-1} = 1``.  Both
+    chains run together in ``_chains``; gamma is ``alpha * beta`` normalized
+    by row.  An emission that underflows in ``b_t`` is more than about 745
+    nats below the frame's best, so its state's posterior is 0 anyway.
+    """
     T, S = logB.shape
     A = np.exp(logA)
-    alpha = np.empty((T, S))
-    alpha[0] = logpi + logB[0]
-    for t in range(1, T):
-        prev = alpha[t - 1]
-        m = prev.max()
-        alpha[t] = logB[t] + m + np.log(np.exp(prev - m) @ A)
-    m = alpha[-1].max()
-    log_evidence = float(m + np.log(np.exp(alpha[-1] - m).sum()))
-    beta = np.zeros((T, S))
-    for t in range(T - 2, -1, -1):
-        nxt = logB[t + 1] + beta[t + 1]
-        m = nxt.max()
-        beta[t] = m + np.log(A @ np.exp(nxt - m))
-    g = alpha + beta
-    g -= logsumexp(g, axis=1, keepdims=True)
-    return np.exp(g), log_evidence
+    peak = logB.max(axis=1)
+    b = np.exp(logB - peak[:, None])
+    start = np.exp(logpi) * b[0]
+    total = start.sum()
+    start /= total
+    log_evidence = peak.sum() + np.log(total)
+    if T == 1:
+        return start[None], float(log_evidence)
+    starts = np.stack([start, b[-1] / b[-1].sum()])
+    x, log_z = _chains(starts, np.stack([A, A.T]), np.stack([b[1:], b[-2::-1]]))
+    alpha = np.concatenate([starts[:1], x[0]])
+    beta = np.ones((T, S))
+    beta[:-1] = np.concatenate([starts[1:], x[1, : T - 2]])[::-1] @ A.T
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    return gamma, float(log_evidence + log_z[0])
 
 
 def vbx_resegment(

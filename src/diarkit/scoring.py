@@ -403,14 +403,27 @@ def _vectors_and_id(embeddings, recording_id: str):
     return np.asarray(embeddings, dtype=float), recording_id
 
 
-def cosine_similarity(embeddings, pca: PCAModel, recording_id: str = "recording") -> SimilarityMatrix:
-    """Cosine scores between PCA-projected embeddings; diagonal pinned to 1.
+def _condense_own_square(S: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Condense a scorer's square S inside its own buffer; return
+    ``(condensed, diagonal)``.
 
-    Rows whose projection has zero norm are a documented degenerate case:
-    their off-diagonal scores are 0.
+    The scorers pass S without keeping a name for it, so this frame holds
+    the only reference and ``resize`` gives the square's tail back in place.
+    Under a trace or profile hook (``sys.settrace`` or ``sys.setprofile``,
+    as installed by debuggers, cProfile and coverage tools) the frame's
+    locals hold one more reference and ``resize`` refuses; the triangle is
+    then copied out, which raises the scoring peak from n^2 to 1.5 n^2.
     """
-    X, rec = _vectors_and_id(embeddings, recording_id)
-    proj = pca.project(X)
+    diagonal = _condense_into(S, S.reshape(-1), kind)
+    m = len(diagonal) * (len(diagonal) - 1) // 2
+    try:
+        S.resize(m)
+    except ValueError:
+        return S.reshape(-1)[:m].copy(), diagonal
+    return S, diagonal
+
+
+def _cosine_square(proj: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(proj, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     unit = proj / safe[:, None]
@@ -420,10 +433,18 @@ def cosine_similarity(embeddings, pca: PCAModel, recording_id: str = "recording"
     S[degenerate, :] = 0.0
     S[:, degenerate] = 0.0
     np.fill_diagonal(S, 1.0)
-    diagonal = _condense_into(S, S.reshape(-1), "cosine")
-    # this frame holds the only reference to S, so it can give back the tail
-    S.resize(len(diagonal) * (len(diagonal) - 1) // 2)
-    return SimilarityMatrix._wrap(rec, "cosine", S, diagonal)
+    return S
+
+
+def cosine_similarity(embeddings, pca: PCAModel, recording_id: str = "recording") -> SimilarityMatrix:
+    """Cosine scores between PCA-projected embeddings; diagonal pinned to 1.
+
+    Rows whose projection has zero norm are a documented degenerate case:
+    their off-diagonal scores are 0.
+    """
+    X, rec = _vectors_and_id(embeddings, recording_id)
+    condensed, diagonal = _condense_own_square(_cosine_square(pca.project(X)), "cosine")
+    return SimilarityMatrix._wrap(rec, "cosine", condensed, diagonal)
 
 
 class _PairwiseScorer:
@@ -503,11 +524,10 @@ def score_plda_matrix(
         between=pca.basis.T @ model.between @ pca.basis,
         within=pca.basis.T @ model.within @ pca.basis,
     )
-    S = _PairwiseScorer(projected_model).matrix(pca.project(X))
-    diagonal = _condense_into(S, S.reshape(-1), "plda")
-    # this frame holds the only reference to S, so it can give back the tail
-    S.resize(len(diagonal) * (len(diagonal) - 1) // 2)
-    return SimilarityMatrix._wrap(rec, "plda", S, diagonal)
+    condensed, diagonal = _condense_own_square(
+        _PairwiseScorer(projected_model).matrix(pca.project(X)), "plda"
+    )
+    return SimilarityMatrix._wrap(rec, "plda", condensed, diagonal)
 
 
 def sigmoid_weights(scores: np.ndarray, scale: float = 1.0, offset: float = 0.0) -> np.ndarray:

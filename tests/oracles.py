@@ -425,6 +425,34 @@ def hmm_posterior_by_enumeration(pi, A, B) -> tuple[np.ndarray, float]:
     return gamma / evidence, float(np.log(evidence))
 
 
+def forward_backward_by_loop(logpi, logA, logB) -> tuple[np.ndarray, float]:
+    """State posteriors and log-evidence by the per-frame log-domain
+    recursion, one Python step per frame and pass.
+
+    Each step is a max-shifted matrix product, which is exact for a dense,
+    strictly positive transition matrix.  Same signature and return value
+    as ``reseg._forward_backward``.
+    """
+    T, S = logB.shape
+    A = np.exp(logA)
+    alpha = np.empty((T, S))
+    alpha[0] = logpi + logB[0]
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        m = prev.max()
+        alpha[t] = logB[t] + m + np.log(np.exp(prev - m) @ A)
+    m = alpha[-1].max()
+    log_evidence = float(m + np.log(np.exp(alpha[-1] - m).sum()))
+    beta = np.zeros((T, S))
+    for t in range(T - 2, -1, -1):
+        nxt = logB[t + 1] + beta[t + 1]
+        m = nxt.max()
+        beta[t] = m + np.log(A @ np.exp(nxt - m))
+    g = alpha + beta
+    g -= scipy.special.logsumexp(g, axis=1, keepdims=True)
+    return np.exp(g), log_evidence
+
+
 # ---------------------------------------------------------------------------
 # DER, JER and speaker mapping as three separate passes: each function builds
 # its own frame grids, region mask and Hungarian assignment, and the DER

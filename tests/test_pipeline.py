@@ -1,6 +1,7 @@
 """Tests for config handling, the per-recording routes and corpus runs."""
 
 import shutil
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -330,6 +331,34 @@ def test_run_wideband_never_rebuilds_the_square(monkeypatch, scoring, method):
     )
     hyp = run_wideband(seq, reference, config, ModelSet(plda_score=plda, plda_vbx=plda))
     assert len(hyp.speakers()) == len(reference.speakers())
+
+
+def _no_hook(frame, event, arg):
+    return None
+
+
+@pytest.mark.parametrize("hook", [sys.settrace, sys.setprofile], ids=["settrace", "setprofile"])
+@pytest.mark.parametrize("scoring", ["plda", "cosine"])
+def test_run_wideband_under_trace_and_profile_hooks(hook, scoring):
+    # debuggers, profilers and coverage tools hold extra references to each
+    # frame's locals; the scorers' in-place shrink must not depend on them
+    seq, reference = _synthetic_recording()
+    plda = ground_truth_plda(
+        SyntheticSpec.well_separated(3, 16, separation=10.0, duration=60.0, seed=5)
+    )
+    config = PipelineConfig.from_mapping(
+        {"scoring": {"kind": scoring, "cosine_pca_dim": 8}, "clustering": {"method": "pic"}}
+    )
+    models = ModelSet(plda_score=plda, plda_vbx=plda)
+    want = run_wideband(seq, reference, config, models)
+    before = sys.gettrace(), sys.getprofile()
+    hook(_no_hook)
+    try:
+        got = run_wideband(seq, reference, config, models)
+    finally:
+        sys.settrace(before[0])
+        sys.setprofile(before[1])
+    assert got.segments and got == want
 
 
 def test_run_narrowband_decodes_and_merges():

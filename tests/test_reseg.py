@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diarkit import reseg
 from diarkit.annotations import Annotation, ScoringRegions, Segment
 from diarkit.clustering import Partition
 from diarkit.container import FormatError
@@ -25,7 +26,7 @@ from diarkit.reseg import (
 from diarkit.reseg import _forward_backward
 from diarkit.scoring import NumericalError, PLDAModel
 
-from oracles import hmm_posterior_by_enumeration
+from oracles import forward_backward_by_loop, hmm_posterior_by_enumeration
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +296,64 @@ def test_forward_backward_matches_enumeration():
         assert log_ev == pytest.approx(ref_log_ev, abs=1e-10)
 
 
+def sticky_transitions(S, loop=0.8):
+    A = np.full((S, S), (1.0 - loop) / (S - 1))
+    np.fill_diagonal(A, loop)
+    return A
+
+
+def forward_backward_twice(logpi, logA, logB):
+    """Two calls with NaN-filled arrays of the working sizes allocated and
+    freed in between, so a buffer read before it is written shows up."""
+    first = _forward_backward(logpi, logA, logB)
+    T, S = logB.shape
+    junk = [np.full(size, np.nan) for size in (2 * (T + 2 * S) * S * S, 2 * (T + S) * S, T * S)]
+    del junk
+    second = _forward_backward(logpi, logA, logB)
+    np.testing.assert_array_equal(first[0], second[0])
+    assert first[1] == second[1]
+    return first
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["sticky", "dirichlet"])
+def test_forward_backward_matches_the_loop_and_repeats(kind):
+    # T = 1..80 covers every residue of the block length for small T; the
+    # larger sizes are the window counts of the benchmark's recordings
+    rng = np.random.default_rng(17)
+    for T in [*range(1, 81), 235, 1195, 4795]:
+        for S in range(2, 10):
+            pi = rng.dirichlet(np.ones(S))
+            if kind == "sticky":
+                A = sticky_transitions(S)
+            else:
+                A = rng.dirichlet(np.ones(S), size=S)
+            logB = 20.0 * rng.normal(size=(T, S))
+            args = (np.log(pi), np.log(A), logB)
+            gamma, log_ev = forward_backward_twice(*args)
+            ref_gamma, ref_log_ev = forward_backward_by_loop(*args)
+            np.testing.assert_allclose(gamma, ref_gamma, rtol=0, atol=1e-9)
+            assert log_ev == pytest.approx(ref_log_ev, rel=1e-12)
+            np.testing.assert_array_equal(gamma.argmax(axis=1), ref_gamma.argmax(axis=1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e3, 1e5])
+def test_forward_backward_survives_extreme_emissions(scale):
+    # spreads far past the ~745 nats where exp(logB - max) underflows to 0
+    rng = np.random.default_rng(18)
+    for T in (1, 2, 3, 17, 80, 235):
+        for S in range(2, 10):
+            pi = rng.dirichlet(np.ones(S))
+            args = (np.log(pi), np.log(sticky_transitions(S)), scale * rng.normal(size=(T, S)))
+            gamma, log_ev = _forward_backward(*args)
+            ref_gamma, ref_log_ev = forward_backward_by_loop(*args)
+            assert np.isfinite(gamma).all()
+            np.testing.assert_allclose(gamma.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(gamma.argmax(axis=1), ref_gamma.argmax(axis=1))
+            assert log_ev == pytest.approx(ref_log_ev, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # variational resegmentation
 
@@ -350,6 +409,35 @@ def test_vbx_two_state_chain_decoding():
             accuracies.append(0.0)
     assert np.mean(accuracies) >= 0.95
     assert min(accuracies) >= 0.85
+
+
+def test_vbx_extreme_acoustic_scale_matches_the_loop(monkeypatch):
+    rng = np.random.default_rng(19)
+    d, T = 6, 300
+    means = np.zeros((3, d))
+    means[np.arange(3), np.arange(3)] = 3.0
+    states = np.repeat(rng.integers(3, size=T // 20), 20)
+    X = means[states] + rng.normal(size=(T, d))
+    centered = means - means.mean(axis=0)
+    plda = PLDAModel(means.mean(axis=0), centered.T @ centered / 3.0, np.eye(d))
+    noisy = rng.random(T) < 0.1
+    initial = Partition.from_labels(np.where(noisy, rng.integers(3, size=T), states))
+    config = VBxConfig(acoustic_scale=50.0)
+
+    spreads = []
+
+    def blocked(logpi, logA, logB):
+        spreads.append(float((logB.max(axis=1) - logB.min(axis=1)).max()))
+        return _forward_backward(logpi, logA, logB)
+
+    monkeypatch.setattr(reseg, "_forward_backward", blocked)
+    part, post = vbx_resegment(X, plda, initial, config)
+    assert max(spreads) > 745.0, max(spreads)
+    assert len(part.clusters) == 3
+    monkeypatch.setattr(reseg, "_forward_backward", forward_backward_by_loop)
+    ref_part, _ = vbx_resegment(X, plda, initial, config)
+    assert part.clusters == ref_part.clusters
+    assert np.isfinite(post.matrix).all()
 
 
 def test_vbx_single_cluster_passthrough():
