@@ -54,7 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_route = sub.add_parser("route", help="print bandwidth routing decisions")
     _add_common(p_route)
 
-    p_diar = sub.add_parser("diarize", help="run the pipeline over a corpus")
+    p_diar = sub.add_parser(
+        "diarize",
+        help="run the pipeline over a corpus; every loaded OpenBLAS is held at "
+        "one thread while it runs, which is faster on small machines",
+    )
     _add_common(p_diar)
 
     p_score = sub.add_parser("score", help="score hypothesis RTTMs in an output directory")

@@ -36,6 +36,7 @@ from .annotations import (
     write_rttm,
 )
 from .bandwidth import MLPClassifier, classify_recording
+from .blas import one_blas_thread
 from .clustering import (
     PICParams,
     Partition,
@@ -586,90 +587,104 @@ def run_corpus(
     manifest and the rest of the corpus proceeds.  Recordings run one after
     another whatever ``workers`` is, so results do not depend on it; the
     parameter is kept for callers that pass it.
+
+    The whole call, model loading and scoring included, holds every loaded
+    OpenBLAS at one thread (``blas.one_blas_thread``).  On a two-core machine
+    the default two threads slowed every stage of a corpus run, also stages
+    that make no BLAS call, while a limit held only around the PIC merge and
+    VBx gave almost nothing (ROADMAP, Baseline: "BLAS threads").  The count is
+    process-wide while held and is given back on return or raise; outputs do
+    not depend on it.  Callers of ``run_wideband`` and the stage functions
+    keep the library's default count.
     """
-    out = Path(output_dir)
-    (out / "hyp").mkdir(parents=True, exist_ok=True)
-    models = ModelSet.load(config)
-    recordings = discover_recordings(config)
+    with one_blas_thread():
+        out = Path(output_dir)
+        (out / "hyp").mkdir(parents=True, exist_ok=True)
+        models = ModelSet.load(config)
+        recordings = discover_recordings(config)
 
-    sad_by_rec = _load_per_recording(config.sad_rttm, parse_rttm)
-    ovl_by_rec = _load_per_recording(config.overlap_regions, parse_overlap_regions)
+        sad_by_rec = _load_per_recording(config.sad_rttm, parse_rttm)
+        ovl_by_rec = _load_per_recording(config.overlap_regions, parse_overlap_regions)
 
-    routes: dict[str, str] = {}
-    failures: dict[str, str] = {}
-    for rec in recordings:
-        try:
-            routes[rec] = route_recording(rec, config, models)
-        except Exception as exc:  # noqa: BLE001 - per-recording isolation
-            failures[rec] = str(exc)
-            routes[rec] = "wideband"
-
-    if (
-        config.scoring.kind == "cosine"
-        and models.cosine_pca is None
-        and config.embeddings_dir
-    ):
-        pool = []
+        routes: dict[str, str] = {}
+        failures: dict[str, str] = {}
         for rec in recordings:
-            if routes[rec] != "wideband" or rec in failures:
-                continue
-            path = Path(config.embeddings_dir) / f"{rec}.emb"
-            if not path.is_file():
-                continue
-            seq = read_embeddings(path)
-            sad = sad_by_rec.get(rec)
-            speech = speech_timeline(sad) if sad is not None else None
-            kept = _kept_indices(seq, speech, config.sad_gating)
-            if kept.size:
-                pool.append(seq.vectors[kept].astype(float))
-        if pool:
-            models.cosine_pca = fit_pca(np.vstack(pool), config.scoring.cosine_pca_dim)
+            try:
+                routes[rec] = route_recording(rec, config, models)
+            except Exception as exc:  # noqa: BLE001 - per-recording isolation
+                failures[rec] = str(exc)
+                routes[rec] = "wideband"
 
-    def process(rec: str):
-        start = time.perf_counter()
-        if rec in failures:
-            return rec, None, failures[rec], 0.0
-        try:
-            if routes[rec] == "narrowband":
-                if not config.posteriors_dir:
-                    raise ConfigError("narrowband route needs posteriors_dir")
-                post = PosteriorMatrix.load(Path(config.posteriors_dir) / f"{rec}.post")
+        if (
+            config.scoring.kind == "cosine"
+            and models.cosine_pca is None
+            and config.embeddings_dir
+        ):
+            pool = []
+            for rec in recordings:
+                if routes[rec] != "wideband" or rec in failures:
+                    continue
+                path = Path(config.embeddings_dir) / f"{rec}.emb"
+                if not path.is_file():
+                    continue
+                try:
+                    seq = read_embeddings(path)
+                except Exception as exc:  # noqa: BLE001 - per-recording isolation
+                    failures[rec] = str(exc)
+                    continue
                 sad = sad_by_rec.get(rec)
-                if sad is None:
-                    raise ConfigError(f"narrowband decoding needs SAD for {rec}")
-                ann = run_narrowband(post, sad, config)
-            else:
-                if not config.embeddings_dir:
-                    raise ConfigError("wideband route needs embeddings_dir")
-                seq = read_embeddings(Path(config.embeddings_dir) / f"{rec}.emb")
-                ann = run_wideband(
-                    seq,
-                    sad_by_rec.get(rec),
-                    config,
-                    models=models,
-                    overlaps=ovl_by_rec.get(rec),
-                )
-            return rec, ann, "", time.perf_counter() - start
-        except Exception as exc:  # noqa: BLE001 - per-recording isolation
-            return rec, None, str(exc), time.perf_counter() - start
+                speech = speech_timeline(sad) if sad is not None else None
+                kept = _kept_indices(seq, speech, config.sad_gating)
+                if kept.size:
+                    pool.append(seq.vectors[kept].astype(float))
+            if sum(map(len, pool)) >= 2:
+                models.cosine_pca = fit_pca(np.vstack(pool), config.scoring.cosine_pca_dim)
 
-    results = [process(rec) for rec in recordings]
+        def process(rec: str):
+            start = time.perf_counter()
+            if rec in failures:
+                return rec, None, failures[rec], 0.0
+            try:
+                if routes[rec] == "narrowband":
+                    if not config.posteriors_dir:
+                        raise ConfigError("narrowband route needs posteriors_dir")
+                    post = PosteriorMatrix.load(Path(config.posteriors_dir) / f"{rec}.post")
+                    sad = sad_by_rec.get(rec)
+                    if sad is None:
+                        raise ConfigError(f"narrowband decoding needs SAD for {rec}")
+                    ann = run_narrowband(post, sad, config)
+                else:
+                    if not config.embeddings_dir:
+                        raise ConfigError("wideband route needs embeddings_dir")
+                    seq = read_embeddings(Path(config.embeddings_dir) / f"{rec}.emb")
+                    ann = run_wideband(
+                        seq,
+                        sad_by_rec.get(rec),
+                        config,
+                        models=models,
+                        overlaps=ovl_by_rec.get(rec),
+                    )
+                return rec, ann, "", time.perf_counter() - start
+            except Exception as exc:  # noqa: BLE001 - per-recording isolation
+                return rec, None, str(exc), time.perf_counter() - start
 
-    entries = []
-    hypotheses: dict[str, Annotation] = {}
-    for rec, ann, message, elapsed in sorted(results, key=lambda r: r[0]):
-        status = "ok" if ann is not None else "failed"
-        if ann is not None:
-            hypotheses[rec] = ann
-            (out / "hyp" / f"{rec}.rttm").write_text(write_rttm(ann))
-        entries.append(ManifestEntry(rec, routes[rec], status, message, elapsed))
+        results = [process(rec) for rec in recordings]
 
-    manifest = RunManifest(__version__, config.config_hash(), tuple(entries))
-    (out / "manifest.txt").write_text(manifest.to_text())
+        entries = []
+        hypotheses: dict[str, Annotation] = {}
+        for rec, ann, message, elapsed in sorted(results, key=lambda r: r[0]):
+            status = "ok" if ann is not None else "failed"
+            if ann is not None:
+                hypotheses[rec] = ann
+                (out / "hyp" / f"{rec}.rttm").write_text(write_rttm(ann))
+            entries.append(ManifestEntry(rec, routes[rec], status, message, elapsed))
 
-    if config.reference_rttm:
-        write_report(out, *score_corpus(hypotheses, config, core_list, domain_map))
-    return manifest
+        manifest = RunManifest(__version__, config.config_hash(), tuple(entries))
+        (out / "manifest.txt").write_text(manifest.to_text())
+
+        if config.reference_rttm:
+            write_report(out, *score_corpus(hypotheses, config, core_list, domain_map))
+        return manifest
 
 
 def score_corpus(

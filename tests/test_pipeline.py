@@ -1,5 +1,6 @@
 """Tests for config handling, the per-recording routes and corpus runs."""
 
+import dataclasses
 import shutil
 import sys
 import tracemalloc
@@ -423,12 +424,14 @@ def test_run_corpus_results_do_not_depend_on_workers(synthetic_corpus, tmp_path)
     assert (out1 / "report.tsv").read_bytes() == (out2 / "report.tsv").read_bytes()
 
 
-def test_run_corpus_isolates_recording_failures(synthetic_corpus, tmp_path):
+def _run_with_one_corrupt_recording(synthetic_corpus, tmp_path, kind: str):
+    """Corpus run with rec001's embedding file corrupt, checked for isolation."""
     root = tmp_path / "broken"
     shutil.copytree(synthetic_corpus.parent, root)
     (root / "embeddings" / "rec001.emb").write_bytes(b"garbage")
 
     config = PipelineConfig.load(root / "config.yaml")
+    config = dataclasses.replace(config, scoring=dataclasses.replace(config.scoring, kind=kind))
     out = tmp_path / "run"
     manifest = run_corpus(config, out)
 
@@ -441,6 +444,15 @@ def test_run_corpus_isolates_recording_failures(synthetic_corpus, tmp_path):
     rows = [line.split("\t") for line in (out / "report.tsv").read_text().splitlines()]
     assert [r[0] for r in rows[1:]] == ["rec000", "rec002", "ALL"]
     assert "status=failed" in (out / "manifest.txt").read_text()
+
+
+def test_run_corpus_isolates_recording_failures(synthetic_corpus, tmp_path):
+    _run_with_one_corrupt_recording(synthetic_corpus, tmp_path, "plda")
+
+
+def test_run_corpus_isolates_recording_failures_with_cosine_scoring(synthetic_corpus, tmp_path):
+    # the pool PCA reads every wideband file before any recording runs
+    _run_with_one_corrupt_recording(synthetic_corpus, tmp_path, "cosine")
 
 
 def test_run_corpus_core_subset_and_domain_table(synthetic_corpus, tmp_path):
