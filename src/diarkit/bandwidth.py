@@ -14,9 +14,8 @@ import numpy as np
 from scipy.special import softmax
 
 from . import container
-from .container import FormatError
 
-__all__ = ["MLPClassifier", "BandDecision", "classify_segment", "classify_recording", "majority_vote"]
+__all__ = ["MLPClassifier", "BandDecision", "classify_recording", "majority_vote"]
 
 NARROWBAND = "NB"
 WIDEBAND = "WB"
@@ -71,26 +70,14 @@ class MLPClassifier:
         return probs[0] if single else probs
 
     def save(self, path: str | Path) -> None:
-        container.write_blocks(
-            path, [self.w1, self.b1.reshape(1, -1), self.w2, self.b2.reshape(1, -1)]
-        )
-        container.write_sidecar(
-            path,
-            {
-                "type": "mlp",
-                "arrays": "w1,b1,w2,b2",
-                "classes": ",".join(_CLASSES),
-                "dim": self.input_dim,
-            },
+        container.write_typed(
+            path, "mlp", [self.w1, self.b1, self.w2, self.b2],
+            arrays="w1,b1,w2,b2", classes=",".join(_CLASSES), dim=self.input_dim,
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "MLPClassifier":
-        meta = container.read_sidecar(path)
-        if meta.get("type") != "mlp":
-            raise FormatError(f"{path}: expected type mlp, got {meta.get('type')!r}")
-        w1, b1, w2, b2 = container.read_blocks(path, expect=4)
-        return cls(w1.astype(float), b1[0].astype(float), w2.astype(float), b2[0].astype(float))
+        return container.read_typed(path, "mlp", 4, lambda _, *layers: cls(*layers))
 
 
 @dataclass(frozen=True)
@@ -109,12 +96,6 @@ class BandDecision:
                 raise ValueError(f"segment label must be NB or WB, got {lab!r}")
         if self.segment_labels and self.file_label != majority_vote(self.segment_labels):
             raise ValueError("file_label must be the majority of the segment labels")
-
-
-def classify_segment(model: MLPClassifier, embedding: np.ndarray) -> str:
-    """Label of one embedding, by :func:`classify_recording`'s rule."""
-    (label,) = classify_recording(model, embedding, "").segment_labels
-    return label
 
 
 def majority_vote(labels) -> str:

@@ -1,16 +1,22 @@
 """Binary container for embedding matrices and small model files.
 
 A block is a 4-byte ASCII magic ``EMB1``, two little-endian uint32 giving
-the row and column counts, then row-major float32 payload.  Embedding files
-hold exactly one block; model files concatenate several blocks and list the
-array names in the sidecar.  Metadata never lives in the binary part: each
-file ``foo.emb`` (or ``foo.mdl``) has a plain-text sidecar ``foo.meta`` of
-``key: value`` lines.
+the row and column counts, then row-major float32 payload.  Metadata lives
+in a plain-text sidecar: ``foo.emb`` (or ``foo.mdl``) has ``foo.meta`` of
+``key: value`` lines.  Embedding files hold one block and an untyped sidecar
+(:mod:`diarkit.embeddings`).  Every other file is typed, written by
+:func:`write_typed` and read by :func:`read_typed`: the sidecar's first line
+is ``type: <kind>`` and the class's own fields follow in a fixed order.  The
+kinds are ``pca`` and ``plda`` (:mod:`~diarkit.scoring`), ``mlp``
+(:mod:`~diarkit.bandwidth`), and ``whitening``, ``lda`` and ``posteriors``
+(:mod:`~diarkit.reseg`).  On damaged content the loaders raise only
+:class:`FormatError`, naming the file.
 """
 
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +33,17 @@ class FormatError(ValueError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+@contextmanager
+def naming_file(path: str | Path):
+    """Re-raise a KeyError, IndexError or ValueError inside as a FormatError naming ``path``."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except (LookupError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc!r}") from exc
 
 
 def pack_block(array: np.ndarray) -> bytes:
@@ -89,8 +106,10 @@ def write_sidecar(path: str | Path, fields: dict[str, object]) -> None:
 
 def read_sidecar(path: str | Path) -> dict[str, str]:
     meta = sidecar_path(path)
+    with naming_file(meta):
+        text = meta.read_text()
     fields: dict[str, str] = {}
-    for lineno, raw in enumerate(meta.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -99,3 +118,20 @@ def read_sidecar(path: str | Path) -> dict[str, str]:
         key, value = line.split(":", 1)
         fields[key.strip()] = value.strip()
     return fields
+
+
+def write_typed(path: str | Path, kind: str, blocks: list[np.ndarray], **fields) -> None:
+    """Write ``blocks``, then a sidecar of ``type: kind`` and ``fields`` in the order given."""
+    write_blocks(path, blocks)
+    write_sidecar(path, {"type": kind, **fields})
+
+
+def read_typed(path: str | Path, kind: str, count: int, build):
+    """``build(meta, *blocks)`` for a typed file of ``kind`` holding ``count`` blocks,
+    read as float64; an error ``build`` raises on bad content becomes a FormatError."""
+    meta = read_sidecar(path)
+    if meta.get("type") != kind:
+        raise FormatError(f"{path}: expected type {kind}, got {meta.get('type')!r}")
+    blocks = [block.astype(float) for block in read_blocks(path, expect=count)]
+    with naming_file(path):
+        return build(meta, *blocks)

@@ -144,7 +144,7 @@ def write_embeddings(path: str | Path, seq: EmbeddingSequence) -> None:
 def read_embeddings(path: str | Path) -> EmbeddingSequence:
     blocks = container.read_blocks(path, expect=1)
     meta = container.read_sidecar(path)
-    try:
+    with container.naming_file(path):
         seq = EmbeddingSequence(
             recording_id=meta["recording_id"],
             vectors=blocks[0],
@@ -152,12 +152,10 @@ def read_embeddings(path: str | Path) -> EmbeddingSequence:
             window_shift=float(meta["window_shift"]),
             recording_duration=float(meta["recording_duration"]),
         )
-    except KeyError as exc:
-        raise FormatError(f"{path}: sidecar is missing key {exc}") from None
-    if int(meta.get("dim", seq.dim)) != seq.dim:
-        raise FormatError(
-            f"{path}: sidecar dim {meta['dim']} does not match payload dim {seq.dim}"
-        )
+        if int(meta.get("dim", seq.dim)) != seq.dim:
+            raise FormatError(
+                f"{path}: sidecar dim {meta['dim']} does not match payload dim {seq.dim}"
+            )
     return seq
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import time
 import warnings
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +94,12 @@ def _merge_section(cls, data: dict, context: str):
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown {context} config keys: {sorted(unknown)}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -136,27 +141,15 @@ class ClusteringSection:
 
 
 @dataclass(frozen=True)
-class VBxSection:
+class VBxSection(VBxConfig):
+    """The HMM settings of :class:`VBxConfig` plus the models VBx reads."""
+
     enabled: bool = True
-    loop_probability: float = 0.8
     lda_model: str | None = None
     whitening_stats: str | None = None
     plda_interpolation_alpha: float = 0.5
     plda_model_primary: str | None = None
     plda_model_secondary: str | None = None
-    max_iterations: int = 40
-    convergence_tolerance: float = 1e-6
-    acoustic_scale: float = 1.0
-    speaker_prior_scale: float = 1.0
-
-    def to_vbx_config(self) -> VBxConfig:
-        return VBxConfig(
-            loop_probability=self.loop_probability,
-            max_iterations=self.max_iterations,
-            convergence_tolerance=self.convergence_tolerance,
-            acoustic_scale=self.acoustic_scale,
-            speaker_prior_scale=self.speaker_prior_scale,
-        )
 
 
 @dataclass(frozen=True)
@@ -169,6 +162,26 @@ class DecodeSection:
 class MetricsSection:
     collar: float = 0.0
     score_overlap: bool = True
+
+
+# every config key that names a file or directory, as (section, key); section
+# None is the top level.  Relative values resolve against the config's directory.
+_PATH_KEYS = (
+    (None, "embeddings_dir"),
+    (None, "posteriors_dir"),
+    (None, "sad_rttm"),
+    (None, "reference_rttm"),
+    (None, "uem"),
+    (None, "overlap_regions"),
+    (None, "bandwidth_model"),
+    (None, "bandwidth_embeddings_dir"),
+    ("scoring", "cosine_pca_model"),
+    ("scoring", "plda_model"),
+    ("vbx", "lda_model"),
+    ("vbx", "whitening_stats"),
+    ("vbx", "plda_model_primary"),
+    ("vbx", "plda_model_secondary"),
+)
 
 
 @dataclass(frozen=True)
@@ -202,34 +215,17 @@ class PipelineConfig:
         if self.recordings is not None:
             object.__setattr__(self, "recordings", tuple(self.recordings))
 
-    _PATH_FIELDS = (
-        "embeddings_dir",
-        "posteriors_dir",
-        "sad_rttm",
-        "reference_rttm",
-        "uem",
-        "overlap_regions",
-        "bandwidth_model",
-        "bandwidth_embeddings_dir",
-    )
-
     @classmethod
     def from_mapping(cls, data: dict, base_dir: Path | None = None) -> "PipelineConfig":
         data = dict(data)
-        sections = {
-            "scoring": ScoringSection,
-            "clustering": ClusteringSection,
-            "vbx": VBxSection,
-            "decode": DecodeSection,
-            "metrics": MetricsSection,
-        }
         kwargs = {}
-        for name, section_cls in sections.items():
-            if name in data:
-                raw = data.pop(name) or {}
+        for f in dataclass_fields(cls):
+            # the sections are the fields built by a default factory
+            if f.default_factory is not MISSING and f.name in data:
+                raw = data.pop(f.name) or {}
                 if not isinstance(raw, dict):
-                    raise ConfigError(f"config section {name!r} must be a mapping")
-                kwargs[name] = _merge_section(section_cls, raw, name)
+                    raise ConfigError(f"config section {f.name!r} must be a mapping")
+                kwargs[f.name] = _merge_section(f.default_factory, raw, f.name)
         known = {f.name for f in dataclass_fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -239,25 +235,20 @@ class PipelineConfig:
             config = config._resolve_paths(base_dir)
         return config
 
+    def _path_values(self):
+        """``(section, key, value)`` of every path key, in :data:`_PATH_KEYS` order."""
+        for section, key in _PATH_KEYS:
+            yield section, key, getattr(self if section is None else getattr(self, section), key)
+
     def _resolve_paths(self, base_dir: Path) -> "PipelineConfig":
-        updates = {}
-        for name in self._PATH_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                updates[name] = str((base_dir / value).resolve()) if not Path(value).is_absolute() else value
-        for section_name, path_keys in (
-            ("scoring", ("cosine_pca_model", "plda_model")),
-            ("vbx", ("lda_model", "whitening_stats", "plda_model_primary", "plda_model_secondary")),
-        ):
-            section = getattr(self, section_name)
-            section_updates = {}
-            for key in path_keys:
-                value = getattr(section, key)
-                if value is not None and not Path(value).is_absolute():
-                    section_updates[key] = str((base_dir / value).resolve())
-            if section_updates:
-                updates[section_name] = replace(section, **section_updates)
-        return replace(self, **updates) if updates else self
+        updates: dict[str | None, dict[str, str]] = {}
+        for section, key, value in self._path_values():
+            if value is not None and not Path(value).is_absolute():
+                updates.setdefault(section, {})[key] = str((base_dir / value).resolve())
+        top = updates.pop(None, {})
+        for section, resolved in updates.items():
+            top[section] = replace(getattr(self, section), **resolved)
+        return replace(self, **top)
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
@@ -275,17 +266,9 @@ class PipelineConfig:
         return config
 
     def validate_paths(self) -> None:
-        checks = [(name, getattr(self, name)) for name in self._PATH_FIELDS]
-        checks += [
-            ("scoring.cosine_pca_model", self.scoring.cosine_pca_model),
-            ("scoring.plda_model", self.scoring.plda_model),
-            ("vbx.lda_model", self.vbx.lda_model),
-            ("vbx.whitening_stats", self.vbx.whitening_stats),
-            ("vbx.plda_model_primary", self.vbx.plda_model_primary),
-            ("vbx.plda_model_secondary", self.vbx.plda_model_secondary),
-        ]
-        for name, value in checks:
+        for section, key, value in self._path_values():
             if value is not None and not Path(value).exists():
+                name = key if section is None else f"{section}.{key}"
                 raise ConfigError(f"config path {name} does not exist: {value}")
 
     def canonical_dump(self) -> str:
@@ -355,29 +338,25 @@ class ModelSet:
 
     @classmethod
     def load(cls, config: PipelineConfig) -> "ModelSet":
-        models = cls()
-        if config.scoring.plda_model:
-            models.plda_score = PLDAModel.load(config.scoring.plda_model)
-        if config.scoring.cosine_pca_model:
-            models.cosine_pca = PCAModel.load(config.scoring.cosine_pca_model)
-        primary = secondary = None
-        if config.vbx.plda_model_primary:
-            primary = PLDAModel.load(config.vbx.plda_model_primary)
-        if config.vbx.plda_model_secondary:
-            secondary = PLDAModel.load(config.vbx.plda_model_secondary)
+        def load(model_cls, path):
+            return model_cls.load(path) if path else None
+
+        plda_score = load(PLDAModel, config.scoring.plda_model)
+        cosine_pca = load(PCAModel, config.scoring.cosine_pca_model)
+        primary = load(PLDAModel, config.vbx.plda_model_primary)
+        secondary = load(PLDAModel, config.vbx.plda_model_secondary)
         if primary is not None and secondary is not None:
-            models.plda_vbx = interpolate_plda(
-                primary, secondary, config.vbx.plda_interpolation_alpha
-            )
+            plda_vbx = interpolate_plda(primary, secondary, config.vbx.plda_interpolation_alpha)
         else:
-            models.plda_vbx = primary or secondary or models.plda_score
-        if config.vbx.whitening_stats:
-            models.whitening = WhiteningStats.load(config.vbx.whitening_stats)
-        if config.vbx.lda_model:
-            models.lda = LDAProjection.load(config.vbx.lda_model)
-        if config.bandwidth_model:
-            models.bandwidth = MLPClassifier.load(config.bandwidth_model)
-        return models
+            plda_vbx = primary or secondary or plda_score
+        return cls(
+            plda_score=plda_score,
+            cosine_pca=cosine_pca,
+            plda_vbx=plda_vbx,
+            whitening=load(WhiteningStats, config.vbx.whitening_stats),
+            lda=load(LDAProjection, config.vbx.lda_model),
+            bandwidth=load(MLPClassifier, config.bandwidth_model),
+        )
 
 
 def _kept_indices(seq: EmbeddingSequence, speech: ScoringRegions | None, gating: bool) -> np.ndarray:
@@ -503,7 +482,7 @@ def run_wideband(
             vectors = models.lda.apply(vectors)
         working = sub.with_vectors(vectors)
         partition, posterior = vbx_resegment(
-            working, plda, partition, config.vbx.to_vbx_config()
+            working, plda, partition, config.vbx
         )
 
     ann = windows_to_annotation(seq.recording_id, sub.windows, partition.labels, speech)

@@ -49,7 +49,6 @@ from .annotations import (
     read_fields,
     speech_timeline,
 )
-from .container import FormatError
 from .embeddings import EmbeddingSequence
 from .scoring import NumericalError, PLDAModel
 
@@ -145,33 +144,25 @@ class PosteriorMatrix:
         return self.time_offset + (np.arange(self.matrix.shape[0]) + 0.5) * step
 
     def save(self, path: str | Path) -> None:
-        container.write_blocks(path, [self.matrix])
-        container.write_sidecar(
-            path,
-            {
-                "type": "posteriors",
-                "recording_id": self.recording_id,
-                "frame_shift": repr(float(self.frame_shift)),
-                "subsample_factor": self.subsample_factor,
-                "time_offset": repr(float(self.time_offset)),
-                "speakers": ",".join(self.speakers),
-            },
+        container.write_typed(
+            path, "posteriors", [self.matrix],
+            recording_id=self.recording_id,
+            frame_shift=repr(float(self.frame_shift)),
+            subsample_factor=self.subsample_factor,
+            time_offset=repr(float(self.time_offset)),
+            speakers=",".join(self.speakers),
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "PosteriorMatrix":
-        meta = container.read_sidecar(path)
-        if meta.get("type") != "posteriors":
-            raise FormatError(f"{path}: expected type posteriors, got {meta.get('type')!r}")
-        (matrix,) = container.read_blocks(path, expect=1)
-        return cls(
+        return container.read_typed(path, "posteriors", 1, lambda meta, matrix: cls(
             recording_id=meta["recording_id"],
-            matrix=matrix.astype(float),
+            matrix=matrix,
             frame_shift=float(meta["frame_shift"]),
             subsample_factor=int(meta["subsample_factor"]),
             speakers=tuple(meta["speakers"].split(",")) if meta.get("speakers") else None,
             time_offset=float(meta.get("time_offset", 0.0)),
-        )
+        ))
 
 
 @dataclass(frozen=True)
@@ -270,18 +261,13 @@ class WhiteningStats:
         return cls(mean=mean, cholesky=L)
 
     def save(self, path: str | Path) -> None:
-        container.write_blocks(path, [self.mean.reshape(1, -1), self.cholesky])
-        container.write_sidecar(
-            path, {"type": "whitening", "arrays": "mean,cholesky", "dim": len(self.mean)}
+        container.write_typed(
+            path, "whitening", [self.mean, self.cholesky], arrays="mean,cholesky", dim=len(self.mean)
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "WhiteningStats":
-        meta = container.read_sidecar(path)
-        if meta.get("type") != "whitening":
-            raise FormatError(f"{path}: expected type whitening, got {meta.get('type')!r}")
-        mean, chol = container.read_blocks(path, expect=2)
-        return cls(mean[0].astype(float), np.tril(chol.astype(float)))
+        return container.read_typed(path, "whitening", 2, lambda _, m, L: cls(m[0], np.tril(L)))
 
 
 def whiten_and_normalize(embeddings, stats: WhiteningStats) -> np.ndarray:
@@ -384,18 +370,13 @@ class LDAProjection:
         return (np.asarray(X, dtype=float) - self.mean) @ self.matrix
 
     def save(self, path: str | Path) -> None:
-        container.write_blocks(path, [self.mean.reshape(1, -1), self.matrix])
-        container.write_sidecar(
-            path, {"type": "lda", "arrays": "mean,matrix", "dim": len(self.mean)}
+        container.write_typed(
+            path, "lda", [self.mean, self.matrix], arrays="mean,matrix", dim=len(self.mean)
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "LDAProjection":
-        meta = container.read_sidecar(path)
-        if meta.get("type") != "lda":
-            raise FormatError(f"{path}: expected type lda, got {meta.get('type')!r}")
-        mean, matrix = container.read_blocks(path, expect=2)
-        return cls(mean[0].astype(float), matrix.astype(float))
+        return container.read_typed(path, "lda", 2, lambda _, m, matrix: cls(m[0], matrix))
 
 
 def _diagonalize_plda(plda: PLDAModel):

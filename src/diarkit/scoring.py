@@ -32,7 +32,6 @@ from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import squareform
 
 from . import container
-from .container import FormatError
 from .embeddings import EmbeddingSequence, SyntheticSpec
 
 __all__ = [
@@ -85,24 +84,15 @@ class PCAModel:
     def project(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.mean) @ self.basis
 
-    def reconstruct(self, projected: np.ndarray) -> np.ndarray:
-        return projected @ self.basis.T + self.mean
-
     def save(self, path: str | Path) -> None:
-        container.write_blocks(
-            path, [self.mean.reshape(1, -1), self.basis, self.eigenvalues.reshape(1, -1)]
-        )
-        container.write_sidecar(
-            path, {"type": "pca", "arrays": "mean,basis,eigenvalues", "dim": len(self.mean)}
+        container.write_typed(
+            path, "pca", [self.mean, self.basis, self.eigenvalues],
+            arrays="mean,basis,eigenvalues", dim=len(self.mean),
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "PCAModel":
-        meta = container.read_sidecar(path)
-        if meta.get("type") != "pca":
-            raise FormatError(f"{path}: expected type pca, got {meta.get('type')!r}")
-        mean, basis, ev = container.read_blocks(path, expect=3)
-        return cls(mean[0].astype(float), basis.astype(float), ev[0].astype(float))
+        return container.read_typed(path, "pca", 3, lambda _, m, basis, ev: cls(m[0], basis, ev[0]))
 
 
 def fit_pca(X: np.ndarray, target: int | float) -> PCAModel:
@@ -180,20 +170,14 @@ class PLDAModel:
         return self.mean.shape[0]
 
     def save(self, path: str | Path) -> None:
-        container.write_blocks(
-            path, [self.mean.reshape(1, -1), self.between, self.within]
-        )
-        container.write_sidecar(
-            path, {"type": "plda", "arrays": "mean,between,within", "dim": self.dim}
+        container.write_typed(
+            path, "plda", [self.mean, self.between, self.within],
+            arrays="mean,between,within", dim=self.dim,
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "PLDAModel":
-        meta = container.read_sidecar(path)
-        if meta.get("type") != "plda":
-            raise FormatError(f"{path}: expected type plda, got {meta.get('type')!r}")
-        mean, between, within = container.read_blocks(path, expect=3)
-        return cls(mean[0].astype(float), between.astype(float), within.astype(float))
+        return container.read_typed(path, "plda", 3, lambda _, m, b, w: cls(m[0], b, w))
 
 
 _TILE = 128

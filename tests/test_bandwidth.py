@@ -7,7 +7,6 @@ from diarkit.bandwidth import (
     BandDecision,
     MLPClassifier,
     classify_recording,
-    classify_segment,
     majority_vote,
 )
 from diarkit.container import FormatError
@@ -42,8 +41,8 @@ def test_mlp_logit_margin_three_gives_expected_probability():
     assert probs[0] == pytest.approx(expected, abs=1e-12)
     assert probs[0] == pytest.approx(0.9526, abs=5e-5)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert classify_segment(model, np.array([3.0, 0.0])) == "NB"
-    assert classify_segment(model, np.array([0.0, 3.0])) == "WB"
+    rows = np.array([[3.0, 0.0], [0.0, 3.0]])
+    assert classify_recording(model, rows, "r").segment_labels == ("NB", "WB")
 
 
 def test_mlp_probabilities_batch_and_validation():
@@ -68,9 +67,12 @@ def test_mlp_rectifier_blocks_negative_activations():
 
 
 def test_classify_segment_tie_is_wideband():
+    # a row whose two probabilities tie is labelled wideband, alone or in a batch
     model = passthrough_mlp()
-    assert classify_segment(model, np.array([0.0, 0.0])) == "WB"
-    assert classify_segment(model, np.array([1.0, 1.0])) == "WB"
+    for row in ([0.0, 0.0], [1.0, 1.0]):
+        assert classify_recording(model, np.array(row), "r").segment_labels == ("WB",)
+    rows = np.array([[0.0, 0.0], [3.0, 0.0], [1.0, 1.0]])
+    assert classify_recording(model, rows, "r").segment_labels == ("WB", "NB", "WB")
 
 
 def test_majority_vote_matches_counting_oracle():
@@ -120,10 +122,10 @@ def test_classify_recording_batch_matches_rows():
     )
     X = rng.normal(size=(200, 6))
     labels = classify_recording(model, X, "call_3").segment_labels
-    assert labels == tuple(classify_segment(model, row) for row in X)
+    assert labels == tuple(
+        classify_recording(model, row, "call_3").segment_labels[0] for row in X
+    )
     assert 0 < labels.count("NB") < len(labels)
-    with pytest.raises(ValueError):
-        classify_segment(model, X[:2])
 
 
 def test_mlp_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
-"""Source-tree check: no diarkit module reaches into another module's private names."""
+"""Source-tree checks: no diarkit module reaches into another module's private
+names, and only the container and embeddings modules touch raw blocks and sidecars."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,39 @@ def test_private_name_check_sees_each_form():
         (5, "container._read"),
         (5, "np._core"),
     ]
+
+
+# the raw container calls; every other module goes through the typed-file pair
+_RAW_IO = {"write_blocks", "read_blocks", "write_sidecar", "read_sidecar"}
+_RAW_IO_OWNERS = {"container.py", "embeddings.py"}
+
+
+def _raw_io_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of every raw container function imported or looked up."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in _RAW_IO]
+        elif isinstance(node, ast.Attribute) and node.attr in _RAW_IO:
+            found.append((node.lineno, node.attr))
+    return found
+
+
+def test_only_container_and_embeddings_use_raw_blocks_and_sidecars():
+    offenders = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in _RAW_IO_OWNERS
+        for line, name in _raw_io_uses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert offenders == []
+
+
+def test_raw_io_check_sees_each_form():
+    tree = ast.parse(
+        "from .container import read_blocks, write_typed\n"
+        "from . import container\n"
+        "container.write_sidecar(p, {})\n"
+        "x = container.read_typed\n"
+    )
+    assert _raw_io_uses(tree) == [(1, "read_blocks"), (3, "write_sidecar")]

@@ -1,6 +1,7 @@
 """Tests for config handling, the per-recording routes and corpus runs."""
 
 import dataclasses
+import re
 import shutil
 import sys
 import tracemalloc
@@ -32,7 +33,7 @@ from diarkit.pipeline import (
     synthesize_corpus,
     windows_to_annotation,
 )
-from diarkit.reseg import PosteriorMatrix, parse_overlap_regions
+from diarkit.reseg import PosteriorMatrix, VBxConfig, parse_overlap_regions
 from diarkit.scoring import SimilarityMatrix, ground_truth_plda
 
 
@@ -109,6 +110,82 @@ def test_config_resolves_paths_relative_to_config_file(synthetic_corpus):
     assert Path(config.scoring.plda_model).is_absolute()
     assert Path(config.scoring.plda_model).exists()
     assert Path(config.vbx.plda_model_primary).parent == (root / "models").resolve()
+
+
+_PATH_KEYS = (
+    "embeddings_dir",
+    "posteriors_dir",
+    "sad_rttm",
+    "reference_rttm",
+    "uem",
+    "overlap_regions",
+    "bandwidth_model",
+    "bandwidth_embeddings_dir",
+    "scoring.cosine_pca_model",
+    "scoring.plda_model",
+    "vbx.lda_model",
+    "vbx.whitening_stats",
+    "vbx.plda_model_primary",
+    "vbx.plda_model_secondary",
+)
+
+
+@pytest.mark.parametrize("key", _PATH_KEYS)
+def test_config_path_key_resolves_and_must_exist(key, tmp_path):
+    *section, name = key.split(".")
+    path = tmp_path / "config.yaml"
+
+    def load(value):
+        path.write_text(yaml.safe_dump({section[0]: {name: value}} if section else {name: value}))
+        config = PipelineConfig.load(path)
+        return getattr(getattr(config, section[0]) if section else config, name)
+
+    (tmp_path / "models").mkdir()
+    (tmp_path / "models" / "target").write_text("")
+    assert load("models/target") == str((tmp_path / "models" / "target").resolve())
+    absolute = str(tmp_path / "models" / "." / "target")
+    assert load(absolute) == absolute
+    with pytest.raises(ConfigError, match=rf"config path {re.escape(key)} does not exist"):
+        load("models/missing")
+
+
+@pytest.mark.parametrize(
+    "vbx",
+    [
+        {"loop_probability": 1.0},
+        {"loop_probability": 0.0},
+        {"max_iterations": 0},
+        {"convergence_tolerance": 0.0},
+        {"acoustic_scale": 0.0},
+        {"speaker_prior_scale": -1.0},
+    ],
+)
+def test_config_rejects_bad_vbx_values_at_load(vbx, tmp_path):
+    with pytest.raises(ConfigError, match=r"^vbx: "):
+        PipelineConfig.from_mapping({"vbx": vbx})
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"vbx": vbx}))
+    with pytest.raises(ConfigError, match=r"^vbx: "):
+        PipelineConfig.load(path)
+
+
+def test_config_section_errors_are_wrapped_once():
+    with pytest.raises(ConfigError) as err:
+        PipelineConfig.from_mapping({"scoring": {"kind": "euclidean"}})
+    assert str(err.value).startswith("scoring.kind must be cosine or plda")
+
+
+def test_config_vbx_section_is_the_vbx_config():
+    section = PipelineConfig.from_mapping({"vbx": {"max_iterations": 7}}).vbx
+    assert isinstance(section, VBxConfig)
+    settings = (
+        section.loop_probability,
+        section.max_iterations,
+        section.convergence_tolerance,
+        section.acoustic_scale,
+        section.speaker_prior_scale,
+    )
+    assert settings == (0.8, 7, 1e-6, 1.0, 1.0)
 
 
 def test_config_hash_is_stable_and_sensitive():
