@@ -43,7 +43,6 @@ from .embeddings import (
 from .metrics import DERReport, aggregate, der, jer, optimal_mapping
 from .pipeline import ConfigError, PipelineConfig, RunManifest, run_corpus, run_narrowband, run_wideband
 from .reseg import (
-    OverlapRegions,
     PosteriorMatrix,
     VBxConfig,
     assign_overlap,
@@ -103,7 +102,6 @@ __all__ = [
     "run_corpus",
     "run_narrowband",
     "run_wideband",
-    "OverlapRegions",
     "PosteriorMatrix",
     "VBxConfig",
     "assign_overlap",

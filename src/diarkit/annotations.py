@@ -2,6 +2,11 @@
 
 Onsets and durations are seconds.  RTTM lines are written with exactly three
 decimal places, the usual exchange precision for diarization hypotheses.
+
+``ScoringRegions`` is the one interval type, for UEM scoring regions, SAD
+speech and OVL overlap regions alike.  ``ScoringRegions.covers`` maps it onto
+a grid of row times, and ``runs_to_annotation`` maps a grid of speaker
+decisions back to segments.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 __all__ = [
     "Segment",
@@ -25,6 +32,7 @@ __all__ = [
     "merge_adjacent",
     "crop",
     "speech_timeline",
+    "runs_to_annotation",
 ]
 
 
@@ -87,22 +95,32 @@ class Annotation:
 
 @dataclass(frozen=True)
 class ScoringRegions:
-    """Disjoint sorted half-open [onset, offset) intervals eligible for scoring."""
+    """Disjoint half-open [onset, offset) intervals of one recording, stored
+    sorted by onset as floats."""
 
     recording_id: str
     intervals: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
+        ordered = tuple(sorted((float(a), float(b)) for a, b in self.intervals))
         prev_end = None
-        for onset, offset in self.intervals:
+        for onset, offset in ordered:
             if not (0.0 <= onset < offset):
-                raise ValueError(f"bad scoring interval ({onset}, {offset})")
+                raise ValueError(f"bad interval ({onset}, {offset})")
             if prev_end is not None and onset < prev_end:
-                raise ValueError("scoring intervals must be disjoint and sorted")
+                raise ValueError("intervals must not overlap each other")
             prev_end = offset
+        object.__setattr__(self, "intervals", ordered)
 
     def total_duration(self) -> float:
         return sum(off - on for on, off in self.intervals)
+
+    def covers(self, times: np.ndarray) -> np.ndarray:
+        """Boolean mask of the ``times`` that fall inside some interval."""
+        inside = np.zeros(len(times), dtype=bool)
+        for on, off in self.intervals:
+            inside |= (times >= on) & (times < off)
+        return inside
 
 
 def read_fields(
@@ -250,6 +268,24 @@ def crop(annotation: Annotation, regions: ScoringRegions) -> Annotation:
             if hi > lo:
                 kept.append(Segment(annotation.recording_id, lo, hi - lo, seg.speaker))
     return annotation.with_segments(kept)
+
+
+def runs_to_annotation(
+    recording_id: str, active: np.ndarray, bounds: np.ndarray, speakers: tuple[str, ...]
+) -> Annotation:
+    """One segment per run of active rows in each column of the (rows,
+    speakers) boolean grid ``active``: column k is ``speakers[k]`` and row t
+    spans ``bounds[t]`` to ``bounds[t + 1]``.  A run whose end bound is not
+    above its start bound makes no segment."""
+    segments: list[Segment] = []
+    for k in range(active.shape[1]):
+        padded = np.concatenate([[False], active[:, k], [False]])
+        flips = np.flatnonzero(padded[1:] != padded[:-1])
+        for a, b in zip(flips[::2], flips[1::2]):
+            onset, offset = bounds[a], bounds[b]
+            if offset > onset:
+                segments.append(Segment(recording_id, onset, offset - onset, speakers[k]))
+    return Annotation(recording_id, tuple(segments))
 
 
 def speech_timeline(annotation: Annotation) -> ScoringRegions:

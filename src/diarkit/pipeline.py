@@ -32,6 +32,7 @@ from .annotations import (
     merge_adjacent,
     parse_rttm,
     parse_uem,
+    runs_to_annotation,
     speech_timeline,
     write_rttm,
 )
@@ -49,7 +50,6 @@ from .clustering import (
 from .embeddings import EmbeddingSequence, read_embeddings
 from .metrics import DERReport, aggregate, der, format_report, report_rows
 from .reseg import (
-    OverlapRegions,
     PosteriorMatrix,
     VBxConfig,
     LDAProjection,
@@ -98,7 +98,7 @@ def _merge_section(cls, data: dict, context: str):
         return cls(**data)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -362,11 +362,7 @@ class ModelSet:
 def _kept_indices(seq: EmbeddingSequence, speech: ScoringRegions | None, gating: bool) -> np.ndarray:
     if speech is None or not gating:
         return np.arange(len(seq))
-    centers = seq.centers()
-    keep = np.zeros(len(seq), dtype=bool)
-    for on, off in speech.intervals:
-        keep |= (centers >= on) & (centers < off)
-    return np.flatnonzero(keep)
+    return np.flatnonzero(speech.covers(seq.centers()))
 
 
 def windows_to_annotation(
@@ -386,17 +382,10 @@ def windows_to_annotation(
     bounds[0] = windows[0, 0]
     bounds[1:-1] = 0.5 * (centers[:-1] + centers[1:])
     bounds[-1] = windows[-1, 1]
-    segments = []
-    run_start = 0
-    for i in range(1, n + 1):
-        if i == n or labels[i] != labels[run_start]:
-            lab = int(labels[run_start])
-            name = speaker_names[lab] if speaker_names else f"spk{lab}"
-            onset, offset = bounds[run_start], bounds[i]
-            if offset > onset:
-                segments.append(Segment(recording_id, onset, offset - onset, name))
-            run_start = i
-    ann = Annotation(recording_id, tuple(segments))
+    n_speakers = int(labels.max()) + 1
+    names = speaker_names or tuple(f"spk{k}" for k in range(n_speakers))
+    grid = labels[:, None] == np.arange(n_speakers)
+    ann = runs_to_annotation(recording_id, grid, bounds, names)
     if speech is not None and speech.intervals:
         ann = crop(ann, speech)
     return ann
@@ -453,7 +442,7 @@ def run_wideband(
     sad: Annotation | ScoringRegions | None,
     config: PipelineConfig,
     models: ModelSet | None = None,
-    overlaps: OverlapRegions | None = None,
+    overlaps: ScoringRegions | None = None,
 ) -> Annotation:
     """Cluster-and-resegment route for one wideband recording."""
     if models is None:
@@ -770,7 +759,8 @@ def synthesize_corpus(
             )
         )
         if overlap is not None and overlap.segments:
-            overlap_parts.append(write_overlap_regions(OverlapRegions.from_annotation(overlap)))
+            regions = tuple((seg.onset, seg.offset) for seg in overlap.segments)
+            overlap_parts.append(write_overlap_regions(ScoringRegions(overlap.recording_id, regions)))
     (out / "ref.rttm").write_text("".join(ref_parts))
     (out / "sad.rttm").write_text("".join(sad_parts))
     if overlap_parts:

@@ -26,6 +26,8 @@ threshold, fall back to the argmax speaker inside speech, median-filter,
 silence everything outside the speech regions, upsample to the fine frame
 grid.  ``assign_overlap`` adds the second most probable speaker inside
 externally detected overlap regions and never removes existing speech.
+Overlap regions are :class:`~diarkit.annotations.ScoringRegions`, read from
+and written to OVL lines ``OVL <recording> 1 <onset> <duration>``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .annotations import (
     crop,
     disjoint_intervals,
     read_fields,
+    runs_to_annotation,
     speech_timeline,
 )
 from .embeddings import EmbeddingSequence
@@ -55,7 +58,6 @@ from .scoring import NumericalError, PLDAModel
 __all__ = [
     "VBxConfig",
     "PosteriorMatrix",
-    "OverlapRegions",
     "WhiteningStats",
     "LDAProjection",
     "interpolate_plda",
@@ -120,8 +122,10 @@ class PosteriorMatrix:
             raise ValueError("posteriors must be finite")
         if M.size and (M.min() < -1e-9 or M.max() > 1.0 + 1e-9):
             raise ValueError("posteriors must lie in [0, 1]")
-        if self.frame_shift <= 0:
-            raise ValueError("frame_shift must be > 0")
+        if not 0 < self.frame_shift < np.inf:
+            raise ValueError(f"frame_shift must be finite and > 0, got {self.frame_shift}")
+        if not np.isfinite(self.time_offset):
+            raise ValueError(f"time_offset must be finite, got {self.time_offset}")
         if int(self.subsample_factor) != self.subsample_factor or self.subsample_factor < 1:
             raise ValueError("subsample_factor must be an integer >= 1")
         object.__setattr__(self, "matrix", np.clip(M, 0.0, 1.0))
@@ -165,33 +169,7 @@ class PosteriorMatrix:
         ))
 
 
-@dataclass(frozen=True)
-class OverlapRegions:
-    """Externally detected overlapped-speech intervals for one recording."""
-
-    recording_id: str
-    intervals: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self):
-        ordered = tuple(sorted((float(a), float(b)) for a, b in self.intervals))
-        prev_end = None
-        for onset, offset in ordered:
-            if not (0.0 <= onset < offset):
-                raise ValueError(f"bad overlap interval ({onset}, {offset})")
-            if prev_end is not None and onset < prev_end:
-                raise ValueError("overlap intervals must not overlap each other")
-            prev_end = offset
-        object.__setattr__(self, "intervals", ordered)
-
-    @classmethod
-    def from_annotation(cls, annotation: Annotation) -> "OverlapRegions":
-        return cls(
-            annotation.recording_id,
-            tuple((seg.onset, seg.offset) for seg in annotation.segments),
-        )
-
-
-def parse_overlap_regions(text: str) -> list[OverlapRegions]:
+def parse_overlap_regions(text: str) -> list[ScoringRegions]:
     """Parse ``OVL <recording> 1 <onset> <duration>`` lines."""
     by_rec: dict[str, list[tuple[float, float, int]]] = {}
     for lineno, fields, (onset, duration) in read_fields(text, "OVL", 5, (3, 4)):
@@ -202,13 +180,13 @@ def parse_overlap_regions(text: str) -> list[OverlapRegions]:
             raise RTTMParseError(f"overlap onset must be >= 0, got {onset}", lineno)
         by_rec.setdefault(fields[1], []).append((onset, onset + duration, lineno))
     return [
-        OverlapRegions(rec, disjoint_intervals(spans, "OVL"))
+        ScoringRegions(rec, disjoint_intervals(spans, "OVL"))
         for rec, spans in sorted(by_rec.items())
     ]
 
 
-def write_overlap_regions(regions: list[OverlapRegions] | OverlapRegions) -> str:
-    if isinstance(regions, OverlapRegions):
+def write_overlap_regions(regions: list[ScoringRegions] | ScoringRegions) -> str:
+    if isinstance(regions, ScoringRegions):
         regions = [regions]
     lines = []
     for reg in regions:
@@ -244,6 +222,11 @@ class WhiteningStats:
 
     mean: np.ndarray
     cholesky: np.ndarray  # lower triangular, covariance = L L'
+
+    def __post_init__(self):
+        if np.ndim(self.mean) != 1 or np.shape(self.cholesky) != (len(self.mean),) * 2:
+            shapes = np.shape(self.mean), np.shape(self.cholesky)
+            raise ValueError(f"whitening mean and Cholesky factor disagree, got shapes {shapes}")
 
     @classmethod
     def fit(cls, X: np.ndarray, ridge: float = 0.0) -> "WhiteningStats":
@@ -359,6 +342,11 @@ class LDAProjection:
 
     mean: np.ndarray
     matrix: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.mean) != 1 or np.ndim(self.matrix) != 2 or len(self.matrix) != len(self.mean):
+            shapes = np.shape(self.mean), np.shape(self.matrix)
+            raise ValueError(f"LDA mean and matrix disagree, got shapes {shapes}")
 
     @classmethod
     def fit(cls, X: np.ndarray, labels, out_dim: int, ridge: float = 0.0) -> "LDAProjection":
@@ -581,7 +569,7 @@ def vbx_resegment(
 def assign_overlap(
     annotation: Annotation,
     posteriors: PosteriorMatrix,
-    overlaps: OverlapRegions,
+    overlaps: ScoringRegions,
 ) -> Annotation:
     """Add the second most probable speaker inside each overlap region.
 
@@ -589,6 +577,8 @@ def assign_overlap(
     annotated; the runner-up gets a simultaneous segment spanning the
     region.  Existing speech is never removed.  With fewer than two
     available speakers the annotation is returned unchanged with a warning.
+    Rows whose posteriors sum to 0 carry no speaker, such as windows the SAD
+    gate dropped; a region with no other row is skipped with a warning.
     """
     if posteriors.matrix.shape[1] < 2:
         warnings.warn(
@@ -598,9 +588,11 @@ def assign_overlap(
         )
         return annotation
     centers = posteriors.row_centers()
+    voiced = posteriors.matrix.sum(axis=1) > 0
     added: list[Segment] = []
     for onset, offset in overlaps.intervals:
-        rows = np.flatnonzero((centers >= onset) & (centers < offset))
+        region = ScoringRegions(overlaps.recording_id, ((onset, offset),))
+        rows = np.flatnonzero(voiced & region.covers(centers))
         if rows.size == 0:
             warnings.warn(
                 f"{annotation.recording_id}: no posterior frames inside overlap "
@@ -638,10 +630,7 @@ def decode_posteriors(
     regions = sad if isinstance(sad, ScoringRegions) else speech_timeline(sad)
     M = posteriors.matrix
     n_rows, n_spk = M.shape
-    centers = posteriors.row_centers()
-    speech = np.zeros(n_rows, dtype=bool)
-    for on, off in regions.intervals:
-        speech |= (centers >= on) & (centers < off)
+    speech = regions.covers(posteriors.row_centers())
 
     active = M >= threshold
     fallback = speech & ~active.any(axis=1)
@@ -661,19 +650,6 @@ def decode_posteriors(
         ).astype(bool)
         active = filtered & speech[:, None]
 
-    step = posteriors.row_duration
-    segments: list[Segment] = []
-    for k in range(n_spk):
-        track = active[:, k]
-        if not track.any():
-            continue
-        padded = np.concatenate([[False], track, [False]])
-        flips = np.flatnonzero(padded[1:] != padded[:-1])
-        for a, b in zip(flips[::2], flips[1::2]):
-            onset = posteriors.time_offset + a * step
-            offset = posteriors.time_offset + b * step
-            segments.append(
-                Segment(posteriors.recording_id, onset, offset - onset, posteriors.speakers[k])
-            )
-    ann = Annotation(posteriors.recording_id, tuple(segments))
+    bounds = posteriors.time_offset + np.arange(n_rows + 1) * posteriors.row_duration
+    ann = runs_to_annotation(posteriors.recording_id, active, bounds, posteriors.speakers)
     return crop(ann, regions) if regions.intervals else ann

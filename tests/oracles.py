@@ -16,7 +16,7 @@ import scipy.sparse
 import scipy.special
 import scipy.stats
 
-from diarkit.annotations import Annotation, ScoringRegions
+from diarkit.annotations import Annotation, ScoringRegions, Segment
 from diarkit.clustering import Partition, _pair_gain, init_partition, path_integral
 from diarkit.metrics import DERReport
 from diarkit.scoring import SimilarityMatrix
@@ -655,3 +655,24 @@ def dense_absorb_small_clusters(
         means = [S[np.ix_(members, clusters[a])].mean() for a in anchors]
         merged[anchors[int(np.argmax(means))]].extend(members)
     return Partition.from_clusters(merged.values())
+
+
+def label_runs_by_loop(recording_id: str, bounds, labels, names) -> list[Segment]:
+    """Segments of the runs of equal labels, by a walk over the rows.
+
+    Row t carries ``labels[t]`` and spans ``bounds[t]`` to ``bounds[t + 1]``.
+    A run of label ``None`` makes no segment, nor does a run whose end bound
+    is not above its start bound; any other run is one segment named
+    ``names[label]``.
+    """
+    segments = []
+    n = len(labels)
+    run_start = 0
+    for i in range(1, n + 1):
+        if i == n or labels[i] != labels[run_start]:
+            lab = labels[run_start]
+            onset, offset = bounds[run_start], bounds[i]
+            if lab is not None and offset > onset:
+                segments.append(Segment(recording_id, onset, offset - onset, names[lab]))
+            run_start = i
+    return segments

@@ -60,11 +60,25 @@ def test_annotation_rejects_foreign_segments():
 
 def test_scoring_regions_validation():
     ScoringRegions("r", ((0.0, 1.0), (1.0, 2.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must not overlap"):
         ScoringRegions("r", ((0.0, 1.0), (0.5, 2.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must not overlap"):
+        ScoringRegions("r", ((1.5, 3.0), (0.0, 2.0)))
+    with pytest.raises(ValueError, match="bad interval"):
         ScoringRegions("r", ((1.0, 1.0),))
+    with pytest.raises(ValueError, match="bad interval"):
+        ScoringRegions("r", ((2.0, 1.0),))
     assert ScoringRegions("r", ((0.0, 1.5), (2.0, 3.0))).total_duration() == 2.5
+    reg = ScoringRegions("r", ((4, 5), (1.0, 2.0)))
+    assert reg.intervals == ((1.0, 2.0), (4.0, 5.0))
+    assert all(type(bound) is float for interval in reg.intervals for bound in interval)
+
+
+def test_scoring_regions_cover_half_open_intervals():
+    regions = ScoringRegions("r", ((1.0, 2.0), (3.0, 4.0)))
+    times = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.999, 4.0])
+    assert regions.covers(times).tolist() == [False, True, True, False, False, True, True, False]
+    assert ScoringRegions("r").covers(times).tolist() == [False] * 8
 
 
 def test_rttm_round_trip_seeded():

@@ -256,6 +256,8 @@ def test_damaged_files_raise_only_format_error(kind, data):
     [
         ("posteriors", "frame_shift: 0.01\n", ""),
         ("posteriors", "frame_shift: 0.01", "frame_shift: fast"),
+        ("posteriors", "frame_shift: 0.01", "frame_shift: nan"),
+        ("posteriors", "time_offset: 1.5", "time_offset: inf"),
         ("posteriors", "subsample_factor: 10", "subsample_factor: ten"),
         ("posteriors", "speakers: a,b", "speakers: a"),
         ("emb", "recording_id: rec9\n", ""),
@@ -281,6 +283,17 @@ def test_arrays_the_class_rejects_raise_format_error_naming_the_file(tmp_path):
     write_typed(path, "plda", [np.zeros(2), between, np.eye(2)], arrays="mean,between,within", dim=2)
     with pytest.raises(FormatError, match="lopsided.*between covariance must be symmetric"):
         PLDAModel.load(path)
+
+
+@pytest.mark.parametrize(
+    "kind, arrays",
+    [("whitening", [np.zeros(3), np.eye(2)]), ("lda", [np.zeros(3), np.ones((2, 2))])],
+)
+def test_model_arrays_of_disagreeing_shapes_raise_format_error(kind, arrays, tmp_path):
+    path = tmp_path / "mismatched.mdl"
+    write_typed(path, kind, arrays, dim=3)
+    with pytest.raises(FormatError, match="mismatched.*got shapes"):
+        _LOADERS[kind](path)
 
 
 def test_typed_sidecar_starts_with_type_then_fields_in_order(tmp_path):

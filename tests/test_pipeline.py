@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarkit.annotations import (
     Annotation,
@@ -35,6 +37,8 @@ from diarkit.pipeline import (
 )
 from diarkit.reseg import PosteriorMatrix, VBxConfig, parse_overlap_regions
 from diarkit.scoring import SimilarityMatrix, ground_truth_plda
+
+from oracles import label_runs_by_loop
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +153,28 @@ def test_config_path_key_resolves_and_must_exist(key, tmp_path):
         load("models/missing")
 
 
+_BAD_VBX_VALUES = [
+    {"loop_probability": 1.0},
+    {"loop_probability": 0.0},
+    {"max_iterations": 0},
+    {"convergence_tolerance": 0.0},
+    {"acoustic_scale": 0.0},
+    {"speaker_prior_scale": -1.0},
+    {"max_iterations": "ten"},
+]
+
+
 @pytest.mark.parametrize(
-    "vbx",
-    [
-        {"loop_probability": 1.0},
-        {"loop_probability": 0.0},
-        {"max_iterations": 0},
-        {"convergence_tolerance": 0.0},
-        {"acoustic_scale": 0.0},
-        {"speaker_prior_scale": -1.0},
-    ],
+    "section, values",
+    [pytest.param("vbx", values, id=f"vbx{k}") for k, values in enumerate(_BAD_VBX_VALUES)]
+    + [pytest.param("clustering", {"min_cluster_windows": "5"}, id="clustering0")],
 )
-def test_config_rejects_bad_vbx_values_at_load(vbx, tmp_path):
-    with pytest.raises(ConfigError, match=r"^vbx: "):
-        PipelineConfig.from_mapping({"vbx": vbx})
+def test_config_rejects_bad_vbx_values_at_load(section, values, tmp_path):
+    with pytest.raises(ConfigError, match=rf"^{section}: "):
+        PipelineConfig.from_mapping({section: values})
     path = tmp_path / "config.yaml"
-    path.write_text(yaml.safe_dump({"vbx": vbx}))
-    with pytest.raises(ConfigError, match=r"^vbx: "):
+    path.write_text(yaml.safe_dump({section: values}))
+    with pytest.raises(ConfigError, match=rf"^{section}: "):
         PipelineConfig.load(path)
 
 
@@ -232,6 +241,24 @@ def test_windows_to_annotation_single_run_spans_window_edges():
     assert len(ann.segments) == 1
     assert ann.segments[0].onset == pytest.approx(0.0)
     assert ann.segments[0].offset == pytest.approx(2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=30),
+    size=st.sampled_from([0.5, 1.5]),
+    data=st.data(),
+)
+def test_windows_to_annotation_matches_the_run_loop(steps, size, data):
+    # a step of 0 repeats a window, so some rows span no time
+    starts = np.cumsum(steps)
+    windows = np.column_stack([starts, starts + size])
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(steps), max_size=len(steps)))
+    centers = windows.mean(axis=1)
+    bounds = np.concatenate([windows[:1, 0], 0.5 * (centers[:-1] + centers[1:]), windows[-1:, 1]])
+    names = ("spk0", "spk1", "spk2", "spk3")
+    expected = Annotation("w", tuple(label_runs_by_loop("w", bounds, labels, names)))
+    assert windows_to_annotation("w", windows, np.array(labels)) == expected
 
 
 def test_windows_to_annotation_empty():
@@ -328,6 +355,17 @@ def test_run_wideband_empty_when_sad_excludes_everything():
     speech = ScoringRegions(seq.recording_id, ((1000.0, 1001.0),))
     hyp = run_wideband(seq, speech, config)
     assert hyp.segments == ()
+
+
+def test_run_wideband_skips_overlap_outside_the_sad(synthetic_corpus):
+    config = PipelineConfig.load(synthetic_corpus)
+    seq = read_embeddings(synthetic_corpus.parent / "embeddings" / "rec000.emb")
+    speech = ScoringRegions(seq.recording_id, ((0.0, 40.0),))
+    overlaps = ScoringRegions(seq.recording_id, ((50.0, 52.0),))
+    with pytest.warns(UserWarning, match="no posterior frames inside overlap region"):
+        hyp = run_wideband(seq, speech, config, overlaps=overlaps)
+    assert hyp.segments
+    assert hyp.extent() <= 40.0
 
 
 def test_run_wideband_single_window_is_one_speaker():

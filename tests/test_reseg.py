@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarkit import reseg
-from diarkit.annotations import Annotation, ScoringRegions, Segment
+from diarkit.annotations import Annotation, ScoringRegions, Segment, crop
 from diarkit.clustering import Partition
 from diarkit.container import FormatError
 from diarkit.embeddings import EmbeddingSequence
 from diarkit.reseg import (
     LDAProjection,
-    OverlapRegions,
     PosteriorMatrix,
     VBxConfig,
     WhiteningStats,
@@ -26,7 +27,7 @@ from diarkit.reseg import (
 from diarkit.reseg import _forward_backward
 from diarkit.scoring import NumericalError, PLDAModel
 
-from oracles import forward_backward_by_loop, hmm_posterior_by_enumeration
+from oracles import forward_backward_by_loop, hmm_posterior_by_enumeration, label_runs_by_loop
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +97,6 @@ def test_posterior_matrix_load_rejects_wrong_type(tmp_path):
 # overlap region I/O
 
 
-def test_overlap_regions_validation():
-    with pytest.raises(ValueError, match="bad overlap interval"):
-        OverlapRegions("rec", ((2.0, 1.0),))
-    with pytest.raises(ValueError, match="must not overlap"):
-        OverlapRegions("rec", ((0.0, 2.0), (1.5, 3.0)))
-    reg = OverlapRegions("rec", ((4.0, 5.0), (1.0, 2.0)))
-    assert reg.intervals == ((1.0, 2.0), (4.0, 5.0))
-
-
 def test_parse_overlap_regions():
     text = "\n".join(
         [
@@ -133,8 +125,8 @@ def test_parse_overlap_regions_errors():
 
 def test_overlap_regions_roundtrip():
     regions = [
-        OverlapRegions("recA", ((0.25, 1.0), (3.0, 3.5))),
-        OverlapRegions("recB", ((4.0, 5.5),)),
+        ScoringRegions("recA", ((0.25, 1.0), (3.0, 3.5))),
+        ScoringRegions("recB", ((4.0, 5.5),)),
     ]
     assert parse_overlap_regions(write_overlap_regions(regions)) == regions
     assert write_overlap_regions([]) == ""
@@ -528,7 +520,7 @@ def overlap_fixture(total=10.0, frame_shift=0.1):
 
 def test_assign_overlap_adds_exact_durations():
     ann, post = overlap_fixture()
-    overlaps = OverlapRegions("rec", ((2.0, 3.0), (5.0, 5.5)))
+    overlaps = ScoringRegions("rec", ((2.0, 3.0), (5.0, 5.5)))
     out = assign_overlap(ann, post, overlaps)
     before = sum(s.duration for s in ann.segments)
     after = sum(s.duration for s in out.segments)
@@ -544,7 +536,7 @@ def test_assign_overlap_picks_runner_up():
     M = np.tile([0.1, 0.3, 0.6], (n, 1))
     post = PosteriorMatrix("rec", M, frame_shift=0.1, speakers=("a", "b", "c"))
     ann = Annotation("rec", (Segment("rec", 0.0, 10.0, "c"),))
-    out = assign_overlap(ann, post, OverlapRegions("rec", ((1.0, 2.0),)))
+    out = assign_overlap(ann, post, ScoringRegions("rec", ((1.0, 2.0),)))
     added = [s for s in out.segments if (s.onset, s.offset) == (1.0, 2.0)]
     assert [s.speaker for s in added] == ["b"]
 
@@ -554,14 +546,14 @@ def test_assign_overlap_single_speaker_warns():
     post = PosteriorMatrix("rec", M, frame_shift=0.1)
     ann = Annotation("rec", (Segment("rec", 0.0, 5.0, "spk0"),))
     with pytest.warns(UserWarning, match="only one speaker"):
-        out = assign_overlap(ann, post, OverlapRegions("rec", ((1.0, 2.0),)))
+        out = assign_overlap(ann, post, ScoringRegions("rec", ((1.0, 2.0),)))
     assert out == ann
 
 
 def test_assign_overlap_empty_region_warns():
     ann, post = overlap_fixture(total=3.0)
     with pytest.warns(UserWarning, match="no posterior frames"):
-        out = assign_overlap(ann, post, OverlapRegions("rec", ((8.0, 9.0),)))
+        out = assign_overlap(ann, post, ScoringRegions("rec", ((8.0, 9.0),)))
     assert out == ann
 
 
@@ -638,6 +630,36 @@ def test_decode_subsample_factors_agree_on_constant_posteriors():
     out_fine = decode_posteriors(fine, threshold=0.5, sad=sad, median_window=1)
     assert out_coarse == out_fine
     assert [(s.onset, s.offset) for s in out_coarse.segments] == [(0.0, 6.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    grid=st.integers(1, 3).flatmap(
+        lambda n_spk: st.lists(
+            st.lists(st.booleans(), min_size=n_spk, max_size=n_spk), min_size=1, max_size=40
+        )
+    ),
+    time_offset=st.sampled_from([0.0, 0.5, 1.5, 12.3]),
+    frame_shift=st.sampled_from([0.01, 0.1, 0.25]),
+    subsample=st.sampled_from([1, 3, 10]),
+)
+def test_decode_segments_match_the_run_loop(grid, time_offset, frame_shift, subsample):
+    active = np.array(grid)
+    post = PosteriorMatrix(
+        "rec", np.where(active, 0.9, 0.1), frame_shift, subsample, time_offset=time_offset
+    )
+    # a row with no speaker over the threshold falls back to the argmax: column 0 on a tie
+    active[~active.any(axis=1), 0] = True
+    n_rows, n_spk = active.shape
+    step = frame_shift * subsample
+    bounds = [time_offset + t * step for t in range(n_rows + 1)]
+    sad = ScoringRegions("rec", ((0.0, bounds[-1] + 1.0),))
+    runs = []
+    for k in range(n_spk):
+        labels = [k if on else None for on in active[:, k]]
+        runs += label_runs_by_loop("rec", bounds, labels, post.speakers)
+    expected = crop(Annotation("rec", tuple(runs)), sad)
+    assert decode_posteriors(post, threshold=0.5, sad=sad, median_window=1) == expected
 
 
 def test_decode_validation():
