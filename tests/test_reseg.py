@@ -97,6 +97,15 @@ def test_posterior_matrix_load_rejects_wrong_type(tmp_path):
 # overlap region I/O
 
 
+def test_overlap_regions_validation():
+    with pytest.raises(ValueError, match="bad interval"):
+        ScoringRegions("rec", ((2.0, 1.0),))
+    with pytest.raises(ValueError, match="must not overlap"):
+        ScoringRegions("rec", ((0.0, 2.0), (1.5, 3.0)))
+    reg = ScoringRegions("rec", ((4.0, 5.0), (1.0, 2.0)))
+    assert reg.intervals == ((1.0, 2.0), (4.0, 5.0))
+
+
 def test_parse_overlap_regions():
     text = "\n".join(
         [
