@@ -7,6 +7,7 @@ check.
 """
 
 import dataclasses
+import hashlib
 import time
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from oracles import (
     truncation_tail_bound,
 )
 
+import diarkit.pipeline
 from diarkit.annotations import Annotation, ScoringRegions, Segment, parse_rttm, write_rttm
 from diarkit.clustering import (
     PICParams,
@@ -118,6 +120,15 @@ def corpus_der(out_dir: Path) -> float:
         if row[0] == "ALL":
             return float(row[5])
     raise AssertionError(f"no ALL row in {out_dir / 'report.tsv'}")
+
+
+def cosine_config(base: PipelineConfig) -> PipelineConfig:
+    """Criterion 03's cosine+pic variant of a plda+pic config."""
+    return dataclasses.replace(
+        base,
+        scoring=dataclasses.replace(base.scoring, kind="cosine"),
+        clustering=dataclasses.replace(base.clustering, ahc_threshold=0.5),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -291,11 +302,7 @@ def test_criterion_03_synthetic_corpus_error_rates(acceptance_log, acceptance_co
     agglomerative baseline, all within a 30 second budget."""
     config_path, synth_elapsed = acceptance_corpus
     base = PipelineConfig.load(config_path)
-    cosine = dataclasses.replace(
-        base,
-        scoring=dataclasses.replace(base.scoring, kind="cosine"),
-        clustering=dataclasses.replace(base.clustering, ahc_threshold=0.5),
-    )
+    cosine = cosine_config(base)
     ahc = dataclasses.replace(
         base, clustering=dataclasses.replace(base.clustering, method="ahc")
     )
@@ -329,6 +336,36 @@ def test_criterion_03_synthetic_corpus_error_rates(acceptance_log, acceptance_co
         + ", ".join(f"{name} {sec:.1f}s" for name, sec in seconds.items())
         + ")",
     )
+
+
+# sha256 of repr(trace) of every pic_merge_trace call, in run order, over
+# plda+pic then cosine+pic on criterion 03's corpus
+MERGE_TRACE_SHA256 = "2d061f9e95310c18f789b8d608b69332306469d85999ca31dc3cbe2a5a6e05be"
+MERGE_TRACE_MERGES = 2520
+
+
+def test_merge_trace_hash_on_the_acceptance_corpus(acceptance_corpus, tmp_path, monkeypatch):
+    """The PIC merges of criterion 03's two PIC configs, pair by pair, match
+    the pinned hash: a merge loop that picks another pair at any step of any
+    recording changes it, even where the output files come out the same."""
+    config_path, _ = acceptance_corpus
+    base = PipelineConfig.load(config_path)
+    digest = hashlib.sha256()
+    merges = 0
+
+    def hashed_pic_cluster(graph, params):
+        nonlocal merges
+        partition, trace = pic_merge_trace(graph, params)
+        digest.update(repr(trace).encode())
+        merges += len(trace)
+        return partition
+
+    monkeypatch.setattr(diarkit.pipeline, "pic_cluster", hashed_pic_cluster)
+    for name, config in (("plda_pic", base), ("cosine_pic", cosine_config(base))):
+        manifest = run_corpus(config, tmp_path / name, workers=1)
+        assert len(manifest.succeeded()) == 10, name
+    assert merges == MERGE_TRACE_MERGES
+    assert digest.hexdigest() == MERGE_TRACE_SHA256
 
 
 def test_criterion_04_speaker_count_estimation(acceptance_log, acceptance_corpus):
