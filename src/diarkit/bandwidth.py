@@ -77,7 +77,9 @@ class MLPClassifier:
 
     @classmethod
     def load(cls, path: str | Path) -> "MLPClassifier":
-        return container.read_typed(path, "mlp", 4, lambda _, *layers: cls(*layers))
+        return container.read_typed(
+            path, "mlp", 4, lambda _, *layers: cls(*layers), input_dim=lambda mlp: mlp.input_dim
+        )
 
 
 @dataclass(frozen=True)

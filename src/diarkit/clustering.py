@@ -20,14 +20,17 @@ one routine: it solves (I - z P_U) X = E on a vertex set U, one 0/1 column
 of E per endpoint set, and sums each column of X over its endpoints.
 
 Greedy merging needs only the best pair at each step, so the merge loop
-does not solve every pair.  It bounds each pair's affinity from above, for
-all of a merged cluster's pairs at once, by its exactly summed length-2
-and length-3 walks through the sparse P plus a tail bound on longer walks
-that holds whether or not the length-2 walks are present, and an allowance
-for the solver's roundoff.  A pair is solved exactly only while its bound
-reaches the best exact value found so far; that choice is the one a table
-of exact values for every pair would make, ties included.  (Path integral
-and greedy merge after Zhang, Zhao & Wang, "Agglomerative clustering via
+seldom solves a pair.  It bounds each pair's affinity on both sides, for
+all of a merged cluster's pairs at once.  Its exactly summed length-2 and
+length-3 walks through the sparse P are a lower bound, since every longer
+walk adds a nonnegative term; a tail bound on the longer walks, which holds
+whether or not the length-2 walks are present, makes the upper bound.  Both
+allow for the solver's roundoff.  A pair whose lower bound is above every
+other pair's entry and the affinity floor is merged without a solve.
+Otherwise a pair is solved exactly only while its bound reaches the best
+exact value found so far.  Either way the pair merged is the one a table of
+exact values for every pair would give, ties included.  (Path integral and
+greedy merge after Zhang, Zhao & Wang, "Agglomerative clustering via
 maximum incremental path integral", Pattern Recognition 46(11), 2013.)
 
 A plain average-linkage agglomerative baseline over raw scores provides the
@@ -342,7 +345,8 @@ def init_partition(graph: AffinityGraph) -> Partition:
 
 
 class _MergeEngine:
-    """Greedy merge loop that solves exactly only the pairs that can win.
+    """Greedy merge loop that merges a certified winner without a solve and
+    otherwise solves exactly only the pairs that can win.
 
     Clusters stay ordered by smallest member; ties on affinity pick the
     lexicographically smallest position pair.  A cluster keeps the id of its
@@ -352,33 +356,42 @@ class _MergeEngine:
 
     The table holds, for each pair, either its exact affinity (the
     :func:`_pair_gain` solve that :func:`affinity` makes, so the same bits)
-    or an upper bound on it.  Each step takes the table's first maximal
-    entry; while that entry is a bound, the pair is solved, the exact value
-    replaces the bound and the step looks again.  The step ends on an exact
-    value that every remaining bound stays below, or that an equal bound
-    could only tie from later in row-major order, so the chosen pair is the
-    one a table of exact values for every pair gives.  Exact values stay
-    cached until a merge rewrites their row.
+    or an upper bound on it; a second table holds a lower bound beside each
+    upper one.  Each entry is at least the computed affinity of its pair.
+    Each step takes the table's first maximal entry.  When that entry is a
+    bound whose pair's lower bound is strictly above every other entry and
+    above the affinity floor, the pair's computed affinity is the unique
+    maximum of a table of exact values, so it is merged unsolved.  When the
+    lower bound does not decide, the pair is solved, the exact value
+    replaces the bound and the step looks again.  The step also ends on an
+    exact value that every remaining bound stays below, or that an equal
+    bound could only tie from later in row-major order, so the chosen pair
+    is the one a table of exact values for every pair gives.  Exact values
+    stay cached until a merge rewrites their row.
 
-    The bound comes from walks.  The affinity of (a, b) sums, over every walk
+    The bounds come from walks.  The affinity of (a, b) sums, over every walk
     of length l >= 2 inside a + b that starts and ends in the same cluster
     and visits the other, z^l times the walk's transition probabilities,
     divided by the endpoint cluster's size squared.  Lengths 2 and 3 are
     summed exactly, for a merged cluster against all others at once, from
-    its rows and columns of the sparse P.  A longer walk crosses a -> b and
-    later b -> a; for fixed crossing steps its mass is at most
-    |a| f_ab f_ba z^l, where f_ab is the most any vertex of a sends into b,
-    and there are C(l, 2) crossing-step pairs, so lengths l >= 4 add at most
+    its rows and columns of the sparse P; every term is nonnegative, so that
+    sum is the lower bound.  A longer walk crosses a -> b and later b -> a;
+    for fixed crossing steps its mass is at most |a| f_ab f_ba z^l, where
+    f_ab is the most any vertex of a sends into b, and there are C(l, 2)
+    crossing-step pairs, so lengths l >= 4 add at most
     |a| f_ab f_ba z^4 (6 - 8z + 3z^2) / (1 - z)^3, and never more than
     |a| z^4 / (1 - z).  No term assumes the length-2 walks dominate: they are
-    absent when the clusters' edges all run one way.  Last, the bound allows
-    for roundoff in the exact value: for z < 1/2, I - z P_C is row
+    absent when the clusters' edges all run one way.  Last, both bounds
+    allow for roundoff in the computed value: for z < 1/2, I - z P_C is row
     diagonally dominant with margin 1 - z, so LU makes no row exchanges and
     each solution entry is off by at most a small multiple of
     (|a| + |b|) eps / (1 - z)^2, plus 1e-14 where the series path is taken.
-    For z >= 1/2 no bound is claimed and every connected pair is solved.
-    Pairs with no edge between them in either direction are exactly zero
-    and never solved.
+    That slack, (1/|a| + 1/|b|) (2e-14 + 64 eps (|a| + |b|) / (1 - z)^2), is
+    taken off the walk sum times 1 - 1e-9 for the lower bound and added to
+    the walk and tail sum times 1 + 1e-9 for the upper one.  For z >= 1/2 no
+    bound is claimed (the lower bound is -inf), nothing is certified and
+    every connected pair is solved.  Pairs with no edge between them in
+    either direction are exactly zero and never solved.
     """
 
     def __init__(self, graph: AffinityGraph, z: float):
@@ -458,17 +471,19 @@ class _MergeEngine:
         return gain, peak
 
     def _bounds(self, gain_ab, gain_ba, f_ab, f_ba, size_a, size_b):
-        """Upper bounds on the computed affinities of pairs (a, b).
+        """Lower and upper bounds on the computed affinities of pairs (a, b).
 
         The walk sums add nonnegative terms, so the 1e-9 relative margin
         covers their own rounding.
         """
         if self.z >= 0.5:
-            return np.full(np.shape(gain_ab), np.inf)
+            shape = np.shape(gain_ab)
+            return np.full(shape, -np.inf), np.full(shape, np.inf)
         inv = 1.0 / size_a + 1.0 / size_b
         tail = np.minimum(f_ab * f_ba * self._cross_tail, self._plain_tail) * inv
-        walks = gain_ab / size_a**2 + gain_ba / size_b**2 + tail
-        return walks * (1.0 + 1e-9) + inv * (2e-14 + self._roundoff * (size_a + size_b))
+        walks = gain_ab / size_a**2 + gain_ba / size_b**2
+        slack = inv * (2e-14 + self._roundoff * (size_a + size_b))
+        return walks * (1.0 - 1e-9) - slack, (walks + tail) * (1.0 + 1e-9) + slack
 
     def run(self, initial: Partition, target: int, affinity_floor: float = float("-inf")):
         clusters: list[np.ndarray | None] = [np.asarray(c) for c in initial.clusters]
@@ -512,9 +527,10 @@ class _MergeEngine:
         for c, members in enumerate(clusters):
             edges = self._edges(members)
             gain[c], peak[:, c], conn[c] = self._walks_from(members, edges, labels, intra, m)
-        upper = self._bounds(gain, gain.T, peak, peak.T, sizes[:, None], sizes[None, :])
+        low, upper = self._bounds(gain, gain.T, peak, peak.T, sizes[:, None], sizes[None, :])
         table = np.where(conn, upper, 0.0)
         table[np.tril_indices(m)] = -np.inf
+        lower = np.where(conn, low, 0.0)
         exact = ~conn
 
         for _ in range(m - target):
@@ -522,11 +538,16 @@ class _MergeEngine:
                 i, j = divmod(int(np.argmax(table)), m)
                 if exact[i, j]:
                     break
+                bound, table[i, j] = table[i, j], -np.inf
+                rest = table.max()
+                table[i, j] = bound
+                if lower[i, j] > max(rest, affinity_floor):
+                    break  # certified: the unique exact maximum, above the floor
                 table[i, j] = _pair_gain(
                     P, clusters[i], clusters[j], self.z, pi_of(i), pi_of(j)
                 )
                 exact[i, j] = True
-            if table[i, j] <= affinity_floor:
+            if exact[i, j] and table[i, j] <= affinity_floor:
                 break
             trace.append((tuple(clusters[i].tolist()), tuple(clusters[j].tolist())))
             labels[clusters[j]] = i
@@ -548,10 +569,13 @@ class _MergeEngine:
             gain_via, peak_out = self._walks_through(
                 members, edges, inner, labels, intra_out, intra_in, m
             )
-            upper = self._bounds(gain_from, gain_via, peak_out, peak_in, sizes[i], sizes)
+            low, upper = self._bounds(gain_from, gain_via, peak_out, peak_in, sizes[i], sizes)
             row = np.where(dead, -np.inf, np.where(touches, upper, 0.0))
             table[:i, i] = row[:i]
             table[i, i + 1 :] = row[i + 1 :]
+            row = np.where(touches, low, 0.0)
+            lower[:i, i] = row[:i]
+            lower[i, i + 1 :] = row[i + 1 :]
             exact[:i, i] = ~touches[:i]
             exact[i, i + 1 :] = ~touches[i + 1 :]
         return Partition.from_clusters([c.tolist() for c in clusters if c is not None]), trace

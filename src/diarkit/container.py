@@ -126,12 +126,21 @@ def write_typed(path: str | Path, kind: str, blocks: list[np.ndarray], **fields)
     write_sidecar(path, {"type": kind, **fields})
 
 
-def read_typed(path: str | Path, kind: str, count: int, build):
+def read_typed(path: str | Path, kind: str, count: int, build, input_dim=None):
     """``build(meta, *blocks)`` for a typed file of ``kind`` holding ``count`` blocks,
-    read as float64; an error ``build`` raises on bad content becomes a FormatError."""
+    read as float64; an error ``build`` raises on bad content becomes a FormatError.
+
+    With ``input_dim``, a function of the built object, the sidecar's ``dim``
+    must be an integer equal to that object's input dimension.
+    """
     meta = read_sidecar(path)
     if meta.get("type") != kind:
         raise FormatError(f"{path}: expected type {kind}, got {meta.get('type')!r}")
     blocks = [block.astype(float) for block in read_blocks(path, expect=count)]
     with naming_file(path):
-        return build(meta, *blocks)
+        built = build(meta, *blocks)
+        if input_dim is not None and int(meta["dim"]) != input_dim(built):
+            raise FormatError(
+                f"{path}: sidecar dim {meta['dim']} does not match input dim {input_dim(built)}"
+            )
+    return built

@@ -250,7 +250,10 @@ class WhiteningStats:
 
     @classmethod
     def load(cls, path: str | Path) -> "WhiteningStats":
-        return container.read_typed(path, "whitening", 2, lambda _, m, L: cls(m[0], np.tril(L)))
+        return container.read_typed(
+            path, "whitening", 2, lambda _, m, L: cls(m[0], np.tril(L)),
+            input_dim=lambda stats: len(stats.mean),
+        )
 
 
 def whiten_and_normalize(embeddings, stats: WhiteningStats) -> np.ndarray:
@@ -364,7 +367,10 @@ class LDAProjection:
 
     @classmethod
     def load(cls, path: str | Path) -> "LDAProjection":
-        return container.read_typed(path, "lda", 2, lambda _, m, matrix: cls(m[0], matrix))
+        return container.read_typed(
+            path, "lda", 2, lambda _, m, matrix: cls(m[0], matrix),
+            input_dim=lambda lda: len(lda.mean),
+        )
 
 
 def _diagonalize_plda(plda: PLDAModel):

@@ -92,7 +92,10 @@ class PCAModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "PCAModel":
-        return container.read_typed(path, "pca", 3, lambda _, m, basis, ev: cls(m[0], basis, ev[0]))
+        return container.read_typed(
+            path, "pca", 3, lambda _, m, basis, ev: cls(m[0], basis, ev[0]),
+            input_dim=lambda pca: len(pca.mean),
+        )
 
 
 def fit_pca(X: np.ndarray, target: int | float) -> PCAModel:
@@ -177,7 +180,9 @@ class PLDAModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "PLDAModel":
-        return container.read_typed(path, "plda", 3, lambda _, m, b, w: cls(m[0], b, w))
+        return container.read_typed(
+            path, "plda", 3, lambda _, m, b, w: cls(m[0], b, w), input_dim=lambda plda: plda.dim
+        )
 
 
 _TILE = 128

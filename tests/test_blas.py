@@ -108,15 +108,15 @@ WORK_AT_MOST = {
     "plda+pic": {
         "components": 72,
         "merges": 63,
-        "solves": 189,
-        "path_integrals": 126,
+        "solves": 0,
+        "path_integrals": 0,
         "vbx_iterations": 9,
     },
     "cosine+pic": {
         "components": 137,
         "merges": 128,
-        "solves": 387,
-        "path_integrals": 256,
+        "solves": 11,
+        "path_integrals": 7,
         "vbx_iterations": 9,
     },
 }
@@ -188,6 +188,7 @@ def test_corpus_work_counts_are_bounded_and_thread_independent(
             _force_two_threads(patch)
             two = _work_counts(config, tmp_path / f"{tag}_two", monkeypatch)
         assert two == one, name
-        assert set(one) == set(WORK_AT_MOST[name]), name
+        # a count that stays 0 never enters the Counter, and reads 0 here
+        assert set(one) <= set(WORK_AT_MOST[name]), name
         for key, bound in WORK_AT_MOST[name].items():
             assert one[key] <= bound, (name, key, one[key])

@@ -2,9 +2,12 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarkit.clustering import (
     AffinityGraph,
@@ -21,6 +24,7 @@ from diarkit.clustering import (
     pic_cluster,
     pic_merge_trace,
 )
+from diarkit.clustering import _MergeEngine, _pair_gain
 from diarkit.scoring import SimilarityMatrix
 
 from oracles import (
@@ -962,3 +966,91 @@ def test_path_integral_series_matches_dense_solve():
     x = np.linalg.solve(sub, np.ones(len(members)))
     want = float(x.sum()) / len(members) ** 2
     assert got == pytest.approx(want, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# merge-loop bounds against float and 50-digit affinities
+
+
+def _exact_path_sums(P: np.ndarray, z: float):
+    """Path integrals solved in 50-digit arithmetic: ``total(union, ends)`` is
+    S of ``ends`` with paths through ``union``; each union is factored once."""
+    factored = {}
+
+    def total(union, ends):
+        union = tuple(sorted(union))
+        if union not in factored:
+            idx = np.asarray(union)
+            factored[union] = mpmath.eye(len(idx)) - mpmath.mpf(z) * mpmath.matrix(
+                P[np.ix_(idx, idx)].tolist()
+            )
+        x = mpmath.lu_solve(factored[union], mpmath.matrix([int(v in ends) for v in union]))
+        return mpmath.fsum(x[t] for t, v in enumerate(union) if v in ends) / len(ends) ** 2
+
+    return total
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_merge_bounds_hold_for_float_and_exact_affinities(data):
+    n = data.draw(st.integers(6, 40), label="vertices")
+    k = data.draw(st.integers(2, min(6, n - 1)), label="num_neighbors")
+    z = data.draw(st.sampled_from([0.01, 0.1, 0.3, 0.49]), label="z")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    graph = build_knn_graph(plda_matrix(rng, n), num_neighbors=k)
+    P = graph.transition
+    dense = P.toarray()
+    labels = rng.integers(data.draw(st.integers(1, 6), label="clusters"), size=n)
+    # singletons {u} and {v} with an edge u -> v and none back: a one-way pair
+    one_way = np.argwhere((dense > 0) & (dense.T == 0))
+    if len(one_way) and data.draw(st.booleans(), label="one-way pair"):
+        u, v = one_way[rng.integers(len(one_way))]
+        labels = labels + 2
+        labels[u], labels[v] = 0, 1
+    partition = Partition.from_labels(labels)
+    clusters = [np.asarray(c) for c in partition.clusters]
+    labels = partition.labels
+    m = len(clusters)
+    sizes = np.array([len(c) for c in clusters], dtype=float)
+
+    # the merge loop's state for this partition, then both bound routes: every
+    # cluster's walks back into itself, and one cluster's walks through it
+    engine = _MergeEngine(graph, z)
+    same = labels[engine._src] == labels[P.indices]
+    intra = scipy.sparse.csr_matrix(
+        (np.where(same, P.data, 0.0), P.indices, P.indptr), shape=P.shape
+    )
+    intra_out = np.bincount(engine._src, intra.data, n)
+    intra_in = np.bincount(P.indices, intra.data, n)
+    gain, peak = np.empty((m, m)), np.empty((m, m))
+    conn = np.empty((m, m), dtype=bool)
+    for c, members in enumerate(clusters):
+        edges = engine._edges(members)
+        gain[c], peak[:, c], conn[c] = engine._walks_from(members, edges, labels, intra, m)
+    lower, upper = engine._bounds(gain, gain.T, peak, peak.T, sizes[:, None], sizes[None, :])
+    c = data.draw(st.integers(0, m - 1), label="merged cluster")
+    edges = engine._edges(clusters[c])
+    inner = labels[edges[0][1]] == c
+    gain_via, peak_out = engine._walks_through(
+        clusters[c], edges, inner, labels, intra_out, intra_in, m
+    )
+    row_lower, row_upper = engine._bounds(gain[c], gain_via, peak_out, peak[:, c], sizes[c], sizes)
+
+    total = _exact_path_sums(dense, z)
+    pi = [path_integral(graph, members, z) for members in clusters]
+    for a, b in zip(*np.nonzero(np.triu(conn, 1))):
+        got = _pair_gain(P, clusters[a], clusters[b], z, pi[a], pi[b])
+        union = np.union1d(clusters[a], clusters[b])
+        ends_a, ends_b = set(clusters[a].tolist()), set(clusters[b].tolist())
+        exact = (total(union, ends_a) - total(ends_a, ends_a)) + (
+            total(union, ends_b) - total(ends_b, ends_b)
+        )
+        inv = 1.0 / sizes[a] + 1.0 / sizes[b]
+        slack = inv * (2e-14 + engine._roundoff * (sizes[a] + sizes[b]))
+        bounds = [(lower[a, b], upper[a, b])]
+        if c in (a, b):
+            bounds.append((row_lower[a + b - c], row_upper[a + b - c]))
+        for low, high in bounds:
+            assert low <= got <= high, (a, b, low, got, high)
+            assert mpmath.mpf(low) <= exact <= mpmath.mpf(high), (a, b, low, exact, high)
+        assert abs(mpmath.mpf(got) - exact) <= slack, (a, b, got, exact, slack)

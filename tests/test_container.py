@@ -267,6 +267,14 @@ def test_damaged_files_raise_only_format_error(kind, data):
         ("emb", "recording_duration: 3.0", "recording_duration: 9.0"),
         ("emb", "dim: 2", "dim: two"),
         ("emb", "dim: 2", "dim: 3"),
+        ("pca", "dim: 3", "dim: 2"),
+        ("plda", "dim: 2", "dim: 7"),
+        ("mlp", "dim: 2", "dim: 3"),
+        ("whitening", "dim: 2", "dim: 7"),
+        ("lda", "dim: 3", "dim: 2"),
+        ("pca", "dim: 3", "dim: 3.0"),
+        ("whitening", "dim: 2", "dim: two"),
+        ("lda", "dim: 3\n", ""),
     ],
 )
 def test_bad_sidecar_values_raise_format_error_naming_the_file(kind, line, replacement, tmp_path):

@@ -1,6 +1,8 @@
 """The scripts under tools/ run to completion on small inputs."""
 
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +34,41 @@ def test_stage_rss_reports_every_wideband_stage():
         assert stage in stages, done.stdout
     for line in lines[2:]:
         assert float(line.split()[1]) > 0 and line.endswith(" n^2")
+
+
+def test_seed_sweep_runs_one_seed_of_a_workload():
+    done = subprocess.run(
+        [
+            sys.executable, str(ROOT / "tools" / "seed_sweep.py"),
+            "--workload", "routed_short", "--seeds", "7-7",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    (line,) = done.stdout.splitlines()
+    assert re.fullmatch(r"seed 7: exit 0, failed: none, plda\+pic [0-9a-f]{12} 0\.\d{5}", line), line
+
+
+def _seed_sweep_module():
+    spec = importlib.util.spec_from_file_location("seed_sweep", ROOT / "tools" / "seed_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_seed_sweep_fails_on_a_failed_run_or_a_digest_difference():
+    sweep = _seed_sweep_module()
+    assert list(sweep.parse_seeds("3-5")) == [3, 4, 5] and list(sweep.parse_seeds("9")) == [9]
+    run = {"exit": 0, "failed": [], "configs": {"plda+pic": ("0c4600159943", 0.09127)}}
+    other = {**run, "configs": {"plda+pic": ("122915bd7e0f", 0.09127)}}
+    failed = {**run, "exit": 1, "failed": ["der_under_ceiling"]}
+    assert sweep.compare([run]) == (True, "")
+    assert sweep.compare([run, dict(run)]) == (True, " | digests equal")
+    assert sweep.compare([run, other]) == (False, " | digests DIFFER")
+    assert sweep.compare([failed]) == (False, "")
+    assert sweep.describe(failed) == (
+        "exit 1, failed: der_under_ceiling, plda+pic 0c4600159943 0.09127"
+    )
