@@ -15,9 +15,10 @@ contributes when the other's vertices become reachable:
 
 with the conditional term using the union's transition structure but only
 Ca's vertices as path endpoints.  The geometric series converges for z < 1
-because P_C has row sums <= 1, so each value is one linear solve, made by
-one routine: it solves (I - z P_U) X = E on a vertex set U, one 0/1 column
-of E per endpoint set, and sums each column of X over its endpoints.
+because P_C has row sums <= 1, so each value is one dense linear solve,
+made by one routine: it gathers P_U as a dense block, solves
+(I - z P_U) X = E on the vertex set U, one 0/1 column of E per endpoint
+set, and sums each column of X over its endpoints.
 
 Greedy merging needs only the best pair at each step, so the merge loop
 seldom solves a pair.  It bounds each pair's affinity on both sides, for
@@ -232,44 +233,16 @@ def build_knn_graph(
     )
 
 
-def _restrict(P: scipy.sparse.csr_matrix, members: np.ndarray):
-    """P's entries among ``members`` in CSR order: local row, local column, value."""
-    local = np.full(P.shape[0], -1)
-    local[members] = np.arange(len(members))
-    row, pos = _csr_rows(P.indptr, members)
-    col = local[P.indices[pos]]
-    keep = col >= 0
-    return row[keep], col[keep], P.data[pos[keep]]
-
-
 def _path_sums(P, union: np.ndarray, z: float, ends: np.ndarray) -> list[float]:
-    """Solve (I - z P_U) X = ends on P restricted to ``union``; for each
-    column of the boolean (|union|, k) matrix ``ends``, return the sum of X
-    over that column's endpoints divided by their count squared.
-
-    Small or slowly decaying systems use a dense solve.  Large systems whose
-    geometric ratio (z times the largest restricted row sum) is well below 1
-    sum the series sum_k (z P_U)^k ends instead, stopping once the remaining
-    tail is provably under 1e-14 per entry; at the damping values used for
-    clustering that takes a handful of matrix products.
-    """
-    m = len(union)
-    row, col, val = _restrict(P, union)
-    sub = np.zeros((m, m))
-    sub[row, col] = val
-    rho = z * float(sub.sum(axis=1).max())
-    x = ends.astype(float)
-    if m <= 256 or rho >= 0.5:
-        try:
-            x = np.linalg.solve(np.eye(m) - z * sub, x)
-        except np.linalg.LinAlgError as exc:  # unreachable for z < 1, row sums <= 1
-            raise NumericalError(f"path-integral solve failed: {exc}") from exc
-    else:
-        term = x.copy()
-        tail_factor = rho / (1.0 - rho)
-        while float(np.abs(term).max()) * tail_factor > 1e-14:
-            term = z * (sub @ term)
-            x += term
+    """Solve (I - z P_U) X = ends on P restricted to ``union`` with one dense
+    solve; for each column of the boolean (|union|, k) matrix ``ends``,
+    return the sum of X over that column's endpoints divided by their count
+    squared."""
+    sub = P[union][:, union].toarray()
+    try:
+        x = np.linalg.solve(np.eye(len(union)) - z * sub, ends.astype(float))
+    except np.linalg.LinAlgError as exc:  # unreachable for z < 1, row sums <= 1
+        raise NumericalError(f"path-integral solve failed: {exc}") from exc
     return [col[picked].sum() / np.count_nonzero(picked) ** 2 for col, picked in zip(x.T, ends.T)]
 
 
@@ -385,8 +358,8 @@ class _MergeEngine:
     allow for roundoff in the computed value: for z < 1/2, I - z P_C is row
     diagonally dominant with margin 1 - z, so LU makes no row exchanges and
     each solution entry is off by at most a small multiple of
-    (|a| + |b|) eps / (1 - z)^2, plus 1e-14 where the series path is taken.
-    That slack, (1/|a| + 1/|b|) (2e-14 + 64 eps (|a| + |b|) / (1 - z)^2), is
+    (|a| + |b|) eps / (1 - z)^2.  That slack,
+    (1/|a| + 1/|b|) 64 eps (|a| + |b|) / (1 - z)^2, is
     taken off the walk sum times 1 - 1e-9 for the lower bound and added to
     the walk and tail sum times 1 + 1e-9 for the upper one.  For z >= 1/2 no
     bound is claimed (the lower bound is -inf), nothing is certified and
@@ -482,7 +455,7 @@ class _MergeEngine:
         inv = 1.0 / size_a + 1.0 / size_b
         tail = np.minimum(f_ab * f_ba * self._cross_tail, self._plain_tail) * inv
         walks = gain_ab / size_a**2 + gain_ba / size_b**2
-        slack = inv * (2e-14 + self._roundoff * (size_a + size_b))
+        slack = inv * self._roundoff * (size_a + size_b)
         return walks * (1.0 - 1e-9) - slack, (walks + tail) * (1.0 + 1e-9) + slack
 
     def run(self, initial: Partition, target: int, affinity_floor: float = float("-inf")):

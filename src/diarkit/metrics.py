@@ -15,7 +15,9 @@ Every entry point builds its speaker grids and region mask once, in
 ``_frame_grids``, and maps speakers with one Hungarian routine,
 ``_matched_pairs``: DER on the collar- and overlap-filtered frames, JER and
 :func:`optimal_mapping` on the region frames.  ``der`` reports the JER of
-the grids it already built.
+the grids it already built.  Without scoring regions the grids end at the
+reference's end plus the collar; a hypothesis speaker's frames past that
+are counted, not gridded, and add to false alarm and to its JER union.
 """
 
 from __future__ import annotations
@@ -48,22 +50,58 @@ def _speaker_frames(annotation: Annotation, speakers: list[str], n_frames: int) 
     return grid
 
 
-def _frame_grids(reference: Annotation, hypothesis: Annotation, regions: ScoringRegions | None):
+def _frames_past(annotation: Annotation, speakers: list[str], start: int) -> np.ndarray:
+    """Per speaker, the frames at or after ``start`` in the union of that
+    speaker's frame ranges, counted without a grid."""
+    ranges: dict[str, list[tuple[int, int]]] = {s: [] for s in speakers}
+    for seg in annotation.segments:
+        a, b = max(_frame(seg.onset), start), _frame(seg.offset)
+        if b > a:
+            ranges[seg.speaker].append((a, b))
+    counts = []
+    for s in speakers:
+        total, reach = 0, start
+        for a, b in sorted(ranges[s]):
+            total += max(b - max(a, reach), 0)
+            reach = max(reach, b)
+        counts.append(total)
+    return np.array(counts, dtype=np.int64)
+
+
+def _frame_grids(
+    reference: Annotation,
+    hypothesis: Annotation,
+    regions: ScoringRegions | None,
+    collar: float = 0.0,
+):
     """Sorted speaker labels, (speakers, frames) grids and region mask of one
-    call; the grids stop at the last scoring region, past which nothing counts."""
+    call, and each hypothesis speaker's frames past the grids' end.
+
+    With scoring regions the grids stop at the last region, past which
+    nothing counts.  Without them they stop at the hypothesis end or at the
+    reference end plus the collar, whichever is sooner; every frame past
+    that is scored, has no reference speaker and lies outside the collar, so
+    it counts only as false alarm, and only its number per speaker is kept.
+    """
     ref_spk = list(reference.speakers())
     hyp_spk = list(hypothesis.speakers())
-    end = max(reference.extent(), hypothesis.extent())
-    if regions is not None:
+    ref_end = reference.extent()
+    if regions is None:
+        end = max(ref_end, min(hypothesis.extent(), ref_end + collar))
+    else:
+        end = max(ref_end, hypothesis.extent())
         end = min(end, max((off for _, off in regions.intervals), default=0.0))
     n_frames = max(_frame(end), 1)
     region = np.full(n_frames, regions is None)
-    if regions is not None:
+    if regions is None:
+        past = _frames_past(hypothesis, hyp_spk, n_frames)
+    else:
+        past = np.zeros(len(hyp_spk), dtype=np.int64)
         for on, off in regions.intervals:
             region[_frame(on) : _frame(off)] = True
     R = _speaker_frames(reference, ref_spk, n_frames)
     H = _speaker_frames(hypothesis, hyp_spk, n_frames)
-    return ref_spk, hyp_spk, R, H, region
+    return ref_spk, hyp_spk, R, H, region, past
 
 
 def _matched_pairs(R: np.ndarray, H: np.ndarray) -> list[tuple[int, int]]:
@@ -79,8 +117,9 @@ def _matched_pairs(R: np.ndarray, H: np.ndarray) -> list[tuple[int, int]]:
     return [(int(i), int(j)) for i, j in zip(rows, cols) if shared[i, j] > 0]
 
 
-def _jaccard_error(R: np.ndarray, H: np.ndarray) -> float | None:
-    """Mean Jaccard error over reference speakers of region-masked grids."""
+def _jaccard_error(R: np.ndarray, H: np.ndarray, past: np.ndarray) -> float | None:
+    """Mean Jaccard error over reference speakers of region-masked grids;
+    ``past`` holds each hypothesis speaker's frames beyond the grids."""
     if not len(R):
         return None
     match = dict(_matched_pairs(R, H))
@@ -90,7 +129,7 @@ def _jaccard_error(R: np.ndarray, H: np.ndarray) -> float | None:
             errors.append(1.0)
             continue
         h = H[match[i]]
-        union = float((R[i] | h).sum())
+        union = float((R[i] | h).sum() + past[match[i]])
         inter = float((R[i] & h).sum())
         errors.append(1.0 - inter / union if union > 0 else 1.0)
     return float(np.mean(errors))
@@ -103,7 +142,7 @@ def optimal_mapping(reference: Annotation, hypothesis: Annotation, regions: Scor
     Speakers are considered in sorted label order, which makes the choice
     among equal-agreement optima deterministic.
     """
-    ref_spk, hyp_spk, R, H, region = _frame_grids(reference, hypothesis, regions)
+    ref_spk, hyp_spk, R, H, region, _ = _frame_grids(reference, hypothesis, regions)
     return tuple((ref_spk[i], hyp_spk[j]) for i, j in _matched_pairs(R & region, H & region))
 
 
@@ -137,7 +176,7 @@ def der(
     """
     if collar < 0:
         raise ValueError(f"collar must be >= 0, got {collar}")
-    ref_spk, hyp_spk, R, H, region = _frame_grids(reference, hypothesis, regions)
+    ref_spk, hyp_spk, R, H, region, past = _frame_grids(reference, hypothesis, regions, collar)
     scored = region.copy()
     if collar > 0.0:
         for seg in reference.segments:
@@ -159,7 +198,7 @@ def der(
         n_correct += Rs[i] & Hs[j]
 
     missed = float(np.maximum(n_ref - n_hyp, 0).sum()) * FRAME
-    false_alarm = float(np.maximum(n_hyp - n_ref, 0).sum()) * FRAME
+    false_alarm = float(np.maximum(n_hyp - n_ref, 0).sum() + past.sum()) * FRAME
     confusion = float((np.minimum(n_ref, n_hyp) - n_correct).sum()) * FRAME
     scored_speech = float(n_ref.sum()) * FRAME
     rate = (missed + false_alarm + confusion) / scored_speech if scored_speech > 0 else None
@@ -170,7 +209,7 @@ def der(
         false_alarm=false_alarm,
         confusion=confusion,
         der=rate,
-        jer=_jaccard_error(R & region, H & region),
+        jer=_jaccard_error(R & region, H & region, past),
         speaker_map=mapping,
     )
 
@@ -181,8 +220,8 @@ def jer(
     regions: ScoringRegions | None = None,
 ) -> float | None:
     """Mean per-reference-speaker Jaccard error under the optimal mapping."""
-    _, _, R, H, region = _frame_grids(reference, hypothesis, regions)
-    return _jaccard_error(R & region, H & region)
+    _, _, R, H, region, past = _frame_grids(reference, hypothesis, regions)
+    return _jaccard_error(R & region, H & region, past)
 
 
 def aggregate(

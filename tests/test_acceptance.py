@@ -22,6 +22,7 @@ from oracles import (
     truncation_tail_bound,
 )
 
+import diarkit.clustering
 import diarkit.pipeline
 from diarkit.annotations import Annotation, ScoringRegions, Segment, parse_rttm, write_rttm
 from diarkit.clustering import (
@@ -342,30 +343,57 @@ def test_criterion_03_synthetic_corpus_error_rates(acceptance_log, acceptance_co
 # plda+pic then cosine+pic on criterion 03's corpus
 MERGE_TRACE_SHA256 = "2d061f9e95310c18f789b8d608b69332306469d85999ca31dc3cbe2a5a6e05be"
 MERGE_TRACE_MERGES = 2520
+# work of those merges as measured when pinned: np.linalg.solve calls made
+# inside pic_merge_trace and path_integral calls; a change that lowers one
+# lowers its pin
+MERGE_SOLVES_AT_MOST = 767
+MERGE_PATH_INTEGRALS_AT_MOST = 504
 
 
 def test_merge_trace_hash_on_the_acceptance_corpus(acceptance_corpus, tmp_path, monkeypatch):
     """The PIC merges of criterion 03's two PIC configs, pair by pair, match
     the pinned hash: a merge loop that picks another pair at any step of any
-    recording changes it, even where the output files come out the same."""
+    recording changes it, even where the output files come out the same.
+    The same runs count the merges' solves and path integrals."""
     config_path, _ = acceptance_corpus
     base = PipelineConfig.load(config_path)
     digest = hashlib.sha256()
-    merges = 0
+    merges = solves = path_integrals = 0
+    merging = False
+    solve = np.linalg.solve
+    path_integral = diarkit.clustering.path_integral
+
+    def counted_solve(*args, **kwargs):
+        nonlocal solves
+        solves += merging
+        return solve(*args, **kwargs)
+
+    def counted_path_integral(*args, **kwargs):
+        nonlocal path_integrals
+        path_integrals += 1
+        return path_integral(*args, **kwargs)
 
     def hashed_pic_cluster(graph, params):
-        nonlocal merges
-        partition, trace = pic_merge_trace(graph, params)
+        nonlocal merges, merging
+        merging = True
+        try:
+            partition, trace = pic_merge_trace(graph, params)
+        finally:
+            merging = False
         digest.update(repr(trace).encode())
         merges += len(trace)
         return partition
 
     monkeypatch.setattr(diarkit.pipeline, "pic_cluster", hashed_pic_cluster)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(diarkit.clustering, "path_integral", counted_path_integral)
     for name, config in (("plda_pic", base), ("cosine_pic", cosine_config(base))):
         manifest = run_corpus(config, tmp_path / name, workers=1)
         assert len(manifest.succeeded()) == 10, name
     assert merges == MERGE_TRACE_MERGES
     assert digest.hexdigest() == MERGE_TRACE_SHA256
+    assert solves <= MERGE_SOLVES_AT_MOST, solves
+    assert path_integrals <= MERGE_PATH_INTEGRALS_AT_MOST, path_integrals
 
 
 def test_criterion_04_speaker_count_estimation(acceptance_log, acceptance_corpus):

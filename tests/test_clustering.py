@@ -1,5 +1,6 @@
 """Tests for k-NN graph construction and both clustering routes."""
 
+import itertools
 import tracemalloc
 
 import mpmath
@@ -956,16 +957,18 @@ def test_affinity_floor_keeps_genuine_merges():
 
 
 def test_path_integral_series_matches_dense_solve():
+    # unions on both sides of 256 vertices, at weak and strong damping
     rng = np.random.default_rng(30)
     n = 320
     sim = plda_matrix(rng, n, spread=1.0)
     g = build_knn_graph(sim, num_neighbors=12)
-    members = sorted(rng.choice(n, size=300, replace=False).tolist())
-    got = path_integral(g, members, 0.05)
-    sub = np.eye(len(members)) - 0.05 * g.transition[np.ix_(members, members)]
-    x = np.linalg.solve(sub, np.ones(len(members)))
-    want = float(x.sum()) / len(members) ** 2
-    assert got == pytest.approx(want, abs=1e-12)
+    for size, z in itertools.product((255, 256, 257, 300), (0.05, 0.49, 0.9)):
+        members = sorted(rng.choice(n, size=size, replace=False).tolist())
+        got = path_integral(g, members, z)
+        sub = np.eye(len(members)) - z * g.transition[np.ix_(members, members)]
+        x = np.linalg.solve(sub, np.ones(len(members)))
+        want = float(x.sum()) / len(members) ** 2
+        assert got == pytest.approx(want, abs=1e-12), (size, z)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarkit.annotations import Annotation, ScoringRegions, Segment
 from diarkit.metrics import (
@@ -439,6 +442,56 @@ def test_der_jer_mapping_match_separate_grid_reference():
             )
             checked += 1
     assert checked == len(pairs) * 8
+
+
+def _turns(rec, speakers, max_onset):
+    """Annotations of up to five turns on a 10 ms grid with onsets below
+    ``max_onset`` seconds."""
+    turn = st.tuples(
+        st.integers(0, max_onset * 100), st.integers(1, 800), st.sampled_from(speakers)
+    )
+    return st.lists(turn, max_size=5).map(
+        lambda ts: ann(rec, *((a / 100.0, d / 100.0, s) for a, d, s in ts))
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    ref=_turns("rec", ["A", "B", "C"], 10),
+    hyp=_turns("rec", ["x", "y", "z"], 40),
+    collar=st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+    score_overlap=st.booleans(),
+)
+def test_hypothesis_past_the_reference_matches_separate_grids(ref, hyp, collar, score_overlap):
+    # hypothesis turns reach up to four times past the reference's end,
+    # where the library counts frames instead of gridding them
+    got = der(ref, hyp, collar=collar, score_overlap=score_overlap)
+    want = der_by_separate_grids(ref, hyp, collar=collar, score_overlap=score_overlap)
+    for name in DERReport.__dataclass_fields__:
+        assert getattr(got, name) == getattr(want, name), name
+    assert jer(ref, hyp) == jer_by_separate_grids(ref, hyp)
+    assert optimal_mapping(ref, hyp) == optimal_mapping_by_separate_grids(ref, hyp)
+
+
+def test_hypothesis_far_past_the_reference_needs_no_grid_to_it():
+    # a segment 2e5 s out on a 10 s reference: gridding up to it would take
+    # 20 MB per hypothesis speaker; it is 3 s of false alarm and JER union
+    ref = ann("rec", (0.0, 6.0, "A"), (6.0, 4.0, "B"))
+    hyp = ann("rec", (0.0, 6.0, "x"), (6.0, 4.0, "y"), (2e5, 2.0, "x"), (2e5 + 1.0, 1.0, "y"))
+    tracemalloc.start()
+    try:
+        report = der(ref, hyp, collar=0.25, score_overlap=False)
+        error = jer(ref, hyp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+    assert report.speaker_map == (("A", "x"), ("B", "y"))
+    assert (report.missed, report.confusion) == (0.0, 0.0)
+    assert report.false_alarm == pytest.approx(3.0, abs=1e-9)
+    assert report.der == pytest.approx(3.0 / 9.0, abs=1e-9)  # collars leave 9 s scored
+    assert error == pytest.approx(0.5 * (2.0 / 8.0 + 1.0 / 5.0), abs=1e-12)
+    assert report.jer == error
 
 
 # ---------------------------------------------------------------------------

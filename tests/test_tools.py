@@ -72,3 +72,38 @@ def test_seed_sweep_fails_on_a_failed_run_or_a_digest_difference():
     assert sweep.describe(failed) == (
         "exit 1, failed: der_under_ceiling, plda+pic 0c4600159943 0.09127"
     )
+
+
+def test_length_sweep_runs_one_point():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "length_sweep.py"), "--lengths", "150"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    (line,) = done.stdout.splitlines()
+    assert re.fullmatch(
+        r"length 150: windows \d+, wall \d+\.\d\d s, peak \d+ MB, DER 0\.\d{4}, digest [0-9a-f]{12}",
+        line,
+    ), line
+
+
+def test_length_sweep_fails_on_a_failed_run_or_a_digest_difference():
+    spec = importlib.util.spec_from_file_location("length_sweep", ROOT / "tools" / "length_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    run = {"ok": True, "windows": 595, "wall_s": 0.5, "peak_mb": 100.0, "der": 0.016, "digest": "2e6a246472ec"}
+    slower = {**run, "wall_s": 0.55, "peak_mb": 90.0}
+    other = {**run, "digest": "e2a078c93edf"}
+    failed = {"ok": False}
+    assert sweep.compare([run]) == (True, "")
+    assert sweep.compare([slower, run]) == (True, " | wall x1.100, peak x0.900, digests equal")
+    assert sweep.compare([run, other]) == (False, " | wall x1.000, peak x1.000, digests DIFFER")
+    assert sweep.compare([run, failed]) == (False, "")
+    assert sweep.compare([failed]) == (False, "")
+    assert sweep.describe(failed) == "FAILED"
+    assert sweep.describe(run) == (
+        "windows 595, wall 0.50 s, peak 100 MB, DER 0.0160, digest 2e6a246472ec"
+    )
