@@ -75,11 +75,11 @@ def main():
     print("  (positive favors the shared-speaker hypothesis)")
 
     print()
-    plda_sim = score_plda_matrix(seq, plda, energy_fraction=0.95)
+    plda_sim = score_plda_matrix(seq.vectors, plda, energy_fraction=0.95)
     separation_report("plda llr   ", plda_sim.scores, same_mask)
 
     pca = fit_pca(seq.vectors.astype(float), min(8, args.dim))
-    cos_sim = cosine_similarity(seq, pca)
+    cos_sim = cosine_similarity(seq.vectors, pca)
     separation_report("cosine     ", cos_sim.scores, same_mask)
 
     z = standardize_scores(plda_sim)

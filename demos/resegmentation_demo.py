@@ -78,8 +78,8 @@ def main():
     config = VBxConfig(loop_probability=0.8, max_iterations=40,
                        convergence_tolerance=1e-8)
     trace = []
-    part, post = vbx_resegment(X, plda, Partition.from_labels(labels),
-                               config, elbo_trace=trace)
+    part, gamma = vbx_resegment(X, plda, Partition.from_labels(labels),
+                                config, elbo_trace=trace)
 
     print("\nvariational lower bound per iteration:")
     for i, value in enumerate(trace):
@@ -90,8 +90,8 @@ def main():
     acc = permuted_accuracy(part.labels, states)
     print(f"\nresegmented accuracy: {acc:.1%} "
           f"({len(run_length_histogram(part.labels))} runs)")
-    print(f"posterior matrix shape {post.matrix.shape}, rows sum to "
-          f"{post.matrix.sum(axis=1).min():.6f}..{post.matrix.sum(axis=1).max():.6f}")
+    print(f"posterior matrix shape {gamma.shape}, rows sum to "
+          f"{gamma.sum(axis=1).min():.6f}..{gamma.sum(axis=1).max():.6f}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .annotations import Annotation, read_rttm_file
+from .annotations import Annotation, RTTMParseError, read_fields, read_rttm_file
 from .pipeline import (
     ConfigError,
     ModelSet,
@@ -82,19 +82,24 @@ def _load_config(args) -> PipelineConfig:
     return config
 
 
+def _read_lines(path: Path, what: str, n_fields: int, expected: str) -> list[list[str]]:
+    """The ``n_fields`` fields of each data line of the ``what`` file at
+    ``path``; blank and comment lines are skipped."""
+    if not path.is_file():
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        return [fields for _, fields, _ in read_fields(path.read_text(), what, n_fields, (), tagged=False)]
+    except RTTMParseError as exc:
+        raise ConfigError(f"{path}:{exc.line_number}: expected {expected}") from None
+
+
 def _read_core_list(args) -> set[str] | None:
     if args.core_list is None:
         if args.subset == "core":
             raise ConfigError("--subset core requires --core-list")
         return None
     path = Path(args.core_list)
-    if not path.is_file():
-        raise ConfigError(f"core list not found: {path}")
-    ids = {
-        line.strip()
-        for line in path.read_text().splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    }
+    ids = {fields[0] for fields in _read_lines(path, "core list", 1, "one recording id per line")}
     if not ids:
         raise ConfigError(f"core list is empty: {path}")
     return ids
@@ -103,19 +108,7 @@ def _read_core_list(args) -> set[str] | None:
 def _read_domain_map(args) -> dict[str, str] | None:
     if args.domain_map is None:
         return None
-    path = Path(args.domain_map)
-    if not path.is_file():
-        raise ConfigError(f"domain map not found: {path}")
-    table = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ConfigError(f"{path}:{lineno}: expected 'recording domain'")
-        table[fields[0]] = fields[1]
-    return table
+    return dict(_read_lines(Path(args.domain_map), "domain map", 2, "'recording domain'"))
 
 
 def _apply_subset(config: PipelineConfig, args, core: set[str] | None) -> PipelineConfig:

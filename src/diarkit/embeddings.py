@@ -118,13 +118,6 @@ class EmbeddingSequence:
         idx = np.asarray(indices)
         return replace(self, vectors=self.vectors[idx], windows=self.windows[idx])
 
-    def with_vectors(self, vectors: np.ndarray) -> "EmbeddingSequence":
-        """Same windows, new per-window vectors (e.g. after a projection)."""
-        vec = np.asarray(vectors)
-        if vec.shape[0] != len(self):
-            raise ValueError("replacement vectors must keep the row count")
-        return replace(self, vectors=vec.astype(np.float32), windows=self.windows)
-
 
 def write_embeddings(path: str | Path, seq: EmbeddingSequence) -> None:
     """Write one EMB1 block plus the metadata sidecar."""

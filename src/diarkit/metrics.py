@@ -15,9 +15,10 @@ Every entry point builds its speaker grids and region mask once, in
 ``_frame_grids``, and maps speakers with one Hungarian routine,
 ``_matched_pairs``: DER on the collar- and overlap-filtered frames, JER and
 :func:`optimal_mapping` on the region frames.  ``der`` reports the JER of
-the grids it already built.  Without scoring regions the grids end at the
-reference's end plus the collar; a hypothesis speaker's frames past that
-are counted, not gridded, and add to false alarm and to its JER union.
+the grids it already built.  The grids end at the reference's end plus the
+collar, with or without scoring regions; a hypothesis speaker's scored
+frames past that are counted, not gridded, and add to false alarm and to
+its JER union.
 """
 
 from __future__ import annotations
@@ -50,19 +51,28 @@ def _speaker_frames(annotation: Annotation, speakers: list[str], n_frames: int) 
     return grid
 
 
-def _frames_past(annotation: Annotation, speakers: list[str], start: int) -> np.ndarray:
+def _frames_past(
+    annotation: Annotation, speakers: list[str], start: int, regions: ScoringRegions | None
+) -> np.ndarray:
     """Per speaker, the frames at or after ``start`` in the union of that
-    speaker's frame ranges, counted without a grid."""
+    speaker's frame ranges that fall inside the region frame ranges (all of
+    them without regions), counted without a grid."""
     ranges: dict[str, list[tuple[int, int]]] = {s: [] for s in speakers}
     for seg in annotation.segments:
         a, b = max(_frame(seg.onset), start), _frame(seg.offset)
         if b > a:
             ranges[seg.speaker].append((a, b))
+    if regions is None:
+        allowed = [(start, _frame(math.inf))]
+    else:
+        allowed = [(_frame(on), _frame(off)) for on, off in regions.intervals if _frame(off) > start]
     counts = []
     for s in speakers:
         total, reach = 0, start
         for a, b in sorted(ranges[s]):
-            total += max(b - max(a, reach), 0)
+            # [max(a, reach), b) is the part of this range no earlier one covered
+            a = max(a, reach)
+            total += sum(max(min(b, hi) - max(a, lo), 0) for lo, hi in allowed)
             reach = max(reach, b)
         counts.append(total)
     return np.array(counts, dtype=np.int64)
@@ -77,28 +87,22 @@ def _frame_grids(
     """Sorted speaker labels, (speakers, frames) grids and region mask of one
     call, and each hypothesis speaker's frames past the grids' end.
 
-    With scoring regions the grids stop at the last region, past which
-    nothing counts.  Without them they stop at the hypothesis end or at the
-    reference end plus the collar, whichever is sooner; every frame past
-    that is scored, has no reference speaker and lies outside the collar, so
-    it counts only as false alarm, and only its number per speaker is kept.
+    The grids stop at the hypothesis end or at the reference end plus the
+    collar, whichever is sooner.  Every frame past that has no reference
+    speaker and lies outside the collar, so where it is scored, inside the
+    scoring regions or everywhere without them, it counts only as false
+    alarm, and only its number per speaker is kept.
     """
     ref_spk = list(reference.speakers())
     hyp_spk = list(hypothesis.speakers())
     ref_end = reference.extent()
-    if regions is None:
-        end = max(ref_end, min(hypothesis.extent(), ref_end + collar))
-    else:
-        end = max(ref_end, hypothesis.extent())
-        end = min(end, max((off for _, off in regions.intervals), default=0.0))
+    end = max(ref_end, min(hypothesis.extent(), ref_end + collar))
     n_frames = max(_frame(end), 1)
     region = np.full(n_frames, regions is None)
-    if regions is None:
-        past = _frames_past(hypothesis, hyp_spk, n_frames)
-    else:
-        past = np.zeros(len(hyp_spk), dtype=np.int64)
+    if regions is not None:
         for on, off in regions.intervals:
             region[_frame(on) : _frame(off)] = True
+    past = _frames_past(hypothesis, hyp_spk, n_frames, regions)
     R = _speaker_frames(reference, ref_spk, n_frames)
     H = _speaker_frames(hypothesis, hyp_spk, n_frames)
     return ref_spk, hyp_spk, R, H, region, past

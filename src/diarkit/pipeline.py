@@ -428,12 +428,15 @@ def _score_recording(
         if pca is None:
             # corpus runs fit the pool PCA up front; standalone falls back
             # to this recording's own embeddings
-            pca = fit_pca(sub.vectors.astype(float), config.scoring.cosine_pca_dim)
-        return cosine_similarity(sub, pca)
+            pca = fit_pca(sub.vectors, config.scoring.cosine_pca_dim)
+        return cosine_similarity(sub.vectors, pca, recording_id=sub.recording_id)
     if models.plda_score is None:
         raise ConfigError("scoring.kind is plda but scoring.plda_model is not set")
     return score_plda_matrix(
-        sub, models.plda_score, energy_fraction=config.scoring.plda_energy_fraction
+        sub.vectors,
+        models.plda_score,
+        energy_fraction=config.scoring.plda_energy_fraction,
+        recording_id=sub.recording_id,
     )
 
 
@@ -459,31 +462,28 @@ def run_wideband(
 
     partition = _cluster_windows(sub, config, models)
 
-    posterior = None
+    gamma = None
     if config.vbx.enabled:
         if models.plda_vbx is None:
             raise ConfigError("vbx.enabled needs a PLDA model (vbx or scoring section)")
-        vectors = sub.vectors.astype(float)
-        plda = models.plda_vbx
+        X = sub.vectors.astype(float)
         if models.whitening is not None:
-            vectors = whiten_and_normalize(vectors, models.whitening)
+            X = whiten_and_normalize(X, models.whitening)
         if models.lda is not None:
-            vectors = models.lda.apply(vectors)
-        working = sub.with_vectors(vectors)
-        partition, posterior = vbx_resegment(
-            working, plda, partition, config.vbx
-        )
+            X = models.lda.apply(X)
+        partition, gamma = vbx_resegment(X, models.plda_vbx, partition, config.vbx)
 
     ann = windows_to_annotation(seq.recording_id, sub.windows, partition.labels, speech)
-    if overlaps is not None and overlaps.intervals and posterior is not None:
-        full = np.zeros((len(seq), posterior.matrix.shape[1]))
-        full[kept] = posterior.matrix
+    if overlaps is not None and overlaps.intervals and gamma is not None:
+        # one row per window of the recording, row t centred where a
+        # full-length window t is, at window_size / 2 + t * window_shift;
+        # windows the SAD gate dropped keep zero posteriors
+        full = np.zeros((len(seq), gamma.shape[1]))
+        full[kept] = gamma
         grid = PosteriorMatrix(
             seq.recording_id,
             full,
             frame_shift=seq.window_shift,
-            subsample_factor=1,
-            speakers=posterior.speakers,
             time_offset=(seq.window_size - seq.window_shift) / 2.0,
         )
         ann = assign_overlap(ann, grid, overlaps)
@@ -773,46 +773,29 @@ def synthesize_corpus(
         mean=plda.mean, between=plda.between * 0.8, within=plda.within * 1.5
     ).save(out / "models" / "plda_secondary.emb")
 
+    # every value not written here is the config default
     config = {
         "embeddings_dir": "embeddings",
         "sad_rttm": "sad.rttm",
         "reference_rttm": "ref.rttm",
         "route_override": "wideband",
-        "sad_gating": True,
-        "merge_gap": 0.0,
         "seed": seed,
         "scoring": {
-            "kind": "plda",
             "plda_model": "models/plda_primary.emb",
             # keep nearly all of the eigenvalue mass: the synthetic corpora
             # put each extra speaker in a fresh direction, so an aggressive
             # cut here would fold distinct speakers onto each other
             "plda_energy_fraction": 0.95,
-            "sigmoid_scale": 1.0,
-            "sigmoid_offset": 0.0,
-            "standardize_plda_scores": True,
         },
         "clustering": {
-            "method": "pic",
-            "num_neighbors": 30,
-            "damping": 0.01,
-            "ahc_threshold": 0.0,
             # 5 windows at a 0.25 s shift is about a second of speech; any
             # cluster shorter than that is an outlier, not a speaker
             "min_cluster_windows": 5,
-            "affinity_floor": 1e-12,
         },
         "vbx": {
-            "enabled": True,
             "plda_model_primary": "models/plda_primary.emb",
             "plda_model_secondary": "models/plda_secondary.emb",
-            "plda_interpolation_alpha": 0.5,
-            "loop_probability": 0.8,
-            "max_iterations": 40,
-            "convergence_tolerance": 1e-6,
         },
-        "decode": {"threshold": 0.5, "median_window": 11},
-        "metrics": {"collar": 0.0, "score_overlap": True},
     }
     if overlap_parts:
         config["overlap_regions"] = "overlap.ovl"

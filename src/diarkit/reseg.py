@@ -9,7 +9,9 @@ simultaneously diagonalized (within -> identity, between -> diag(psi)) so
 the variational updates are closed-form per dimension.  Each iteration does
 one coordinate-ascent sweep (speaker posteriors, then state posteriors via
 forward-backward, then entry priors), so the evidence lower bound never
-decreases; this is checked every iteration.
+decreases; this is checked every iteration.  It takes the embedding matrix
+and returns the state posteriors as a plain ``(windows, states)`` array;
+the times of those rows are the caller's to know.
 
 Forward-backward runs in the linear domain: each frame's emissions are
 scaled so the largest is 1, and the forward and backward messages become
@@ -52,7 +54,6 @@ from .annotations import (
     runs_to_annotation,
     speech_timeline,
 )
-from .embeddings import EmbeddingSequence
 from .scoring import NumericalError, PLDAModel
 
 __all__ = [
@@ -256,13 +257,12 @@ class WhiteningStats:
         )
 
 
-def whiten_and_normalize(embeddings, stats: WhiteningStats) -> np.ndarray:
+def whiten_and_normalize(X: np.ndarray, stats: WhiteningStats) -> np.ndarray:
     """Whiten by the pool statistics, then length-normalize each row.
 
     A row equal to the pool mean whitens to zero and is left as the zero
     vector (documented degenerate case).
     """
-    X = embeddings.vectors if isinstance(embeddings, EmbeddingSequence) else embeddings
     X = np.asarray(X, dtype=float)
     white = scipy.linalg.solve_triangular(
         stats.cholesky, (X - stats.mean).T, lower=True
@@ -273,7 +273,7 @@ def whiten_and_normalize(embeddings, stats: WhiteningStats) -> np.ndarray:
 
 
 def lda_project(
-    embeddings, labels, out_dim: int, ridge: float = 0.0
+    X: np.ndarray, labels, out_dim: int, ridge: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear discriminant projection fit on labeled embeddings.
 
@@ -284,7 +284,6 @@ def lda_project(
     projection keeps full rank.  Returns ``(W, projected)`` where projected
     = (X - class-pool mean) @ W.
     """
-    X = embeddings.vectors if isinstance(embeddings, EmbeddingSequence) else embeddings
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
     if X.shape[0] != labels.shape[0]:
@@ -473,31 +472,25 @@ def _forward_backward(logpi, logA, logB):
 
 
 def vbx_resegment(
-    embeddings,
+    X: np.ndarray,
     plda: PLDAModel,
     initial: "Partition",
     config: VBxConfig = VBxConfig(),
     elbo_trace: list | None = None,
 ):
-    """Refine a clustering with the variational HMM described above.
+    """Refine a clustering of the ``(n, dim)`` rows of ``X`` with the
+    variational HMM described above.
 
-    Returns ``(partition, posteriors)``.  The output never has more states
-    than the input: states that end up claiming no frame are dropped.  A
-    single-cluster input is returned unchanged.  ``elbo_trace``, when given,
-    collects the per-iteration lower bound values.
+    Returns ``(partition, gamma)``: ``gamma`` is the ``(n, states)`` array of
+    state posteriors, its columns in the partition's cluster order.  The
+    output never has more states than the input: states that end up
+    claiming no frame are dropped.  A single-cluster input is returned
+    unchanged.  ``elbo_trace``, when given, collects the per-iteration lower
+    bound values.
     """
     from .clustering import Partition  # local import to avoid a cycle
 
-    if isinstance(embeddings, EmbeddingSequence):
-        X = embeddings.vectors.astype(float)
-        frame_shift = embeddings.window_shift
-        time_offset = float(embeddings.windows[0, 0]) if len(embeddings) else 0.0
-        rec = embeddings.recording_id
-    else:
-        X = np.asarray(embeddings, dtype=float)
-        frame_shift = 1.0
-        time_offset = 0.0
-        rec = "recording"
+    X = np.asarray(X, dtype=float)
     n, dim = X.shape
     if len(initial.labels) != n:
         raise ValueError("initial partition must label every embedding row")
@@ -506,10 +499,7 @@ def vbx_resegment(
 
     n_states = len(initial.clusters)
     if n_states == 1:
-        post = PosteriorMatrix(
-            rec, np.ones((n, 1)), frame_shift, 1, time_offset=time_offset
-        )
-        return initial, post
+        return initial, np.ones((n, 1))
 
     psi, T = _diagonalize_plda(plda)
     Xt = (X - plda.mean) @ T.T
@@ -567,9 +557,7 @@ def vbx_resegment(
     partition = Partition.from_labels(labels)
     # reorder posterior columns to the partition's canonical cluster order
     col_for_cluster = [int(labels[members[0]]) for members in partition.clusters]
-    gamma = gamma[:, col_for_cluster]
-    post = PosteriorMatrix(rec, gamma, frame_shift, 1, time_offset=time_offset)
-    return partition, post
+    return partition, gamma[:, col_for_cluster]
 
 
 def assign_overlap(

@@ -32,7 +32,7 @@ from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import squareform
 
 from . import container
-from .embeddings import EmbeddingSequence, SyntheticSpec
+from .embeddings import SyntheticSpec
 
 __all__ = [
     "PCAModel",
@@ -386,12 +386,6 @@ class SimilarityMatrix:
             distances.flags.writeable = False
 
 
-def _vectors_and_id(embeddings, recording_id: str):
-    if isinstance(embeddings, EmbeddingSequence):
-        return embeddings.vectors.astype(float), embeddings.recording_id
-    return np.asarray(embeddings, dtype=float), recording_id
-
-
 def _condense_own_square(S: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Condense a scorer's square S inside its own buffer; return
     ``(condensed, diagonal)``.
@@ -425,15 +419,14 @@ def _cosine_square(proj: np.ndarray) -> np.ndarray:
     return S
 
 
-def cosine_similarity(embeddings, pca: PCAModel, recording_id: str = "recording") -> SimilarityMatrix:
+def cosine_similarity(X: np.ndarray, pca: PCAModel, recording_id: str = "recording") -> SimilarityMatrix:
     """Cosine scores between PCA-projected embeddings; diagonal pinned to 1.
 
     Rows whose projection has zero norm are a documented degenerate case:
     their off-diagonal scores are 0.
     """
-    X, rec = _vectors_and_id(embeddings, recording_id)
     condensed, diagonal = _condense_own_square(_cosine_square(pca.project(X)), "cosine")
-    return SimilarityMatrix._wrap(rec, "cosine", condensed, diagonal)
+    return SimilarityMatrix._wrap(recording_id, "cosine", condensed, diagonal)
 
 
 class _PairwiseScorer:
@@ -494,7 +487,7 @@ def plda_llr(model: PLDAModel, x_i: np.ndarray, x_j: np.ndarray) -> float:
 
 
 def score_plda_matrix(
-    embeddings,
+    X: np.ndarray,
     model: PLDAModel,
     energy_fraction: float = 0.3,
     recording_id: str = "recording",
@@ -506,7 +499,7 @@ def score_plda_matrix(
     (covariances C -> B' C B, mean shifted and projected) so the ratio is
     computed consistently in the reduced space.
     """
-    X, rec = _vectors_and_id(embeddings, recording_id)
+    X = np.asarray(X, dtype=float)
     pca = fit_pca(X, energy_fraction)
     projected_model = PLDAModel(
         mean=pca.basis.T @ (model.mean - pca.mean),
@@ -516,7 +509,7 @@ def score_plda_matrix(
     condensed, diagonal = _condense_own_square(
         _PairwiseScorer(projected_model).matrix(pca.project(X)), "plda"
     )
-    return SimilarityMatrix._wrap(rec, "plda", condensed, diagonal)
+    return SimilarityMatrix._wrap(recording_id, "plda", condensed, diagonal)
 
 
 def sigmoid_weights(scores: np.ndarray, scale: float = 1.0, offset: float = 0.0) -> np.ndarray:

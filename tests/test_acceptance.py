@@ -426,7 +426,7 @@ def test_criterion_04_speaker_count_estimation(acceptance_log, acceptance_corpus
             labels.append(speaker)
         labels = np.array(labels, dtype=object)
 
-        sim = score_plda_matrix(sub, plda, energy_fraction=config.scoring.plda_energy_fraction)
+        sim = score_plda_matrix(sub.vectors, plda, energy_fraction=config.scoring.plda_energy_fraction)
         iu, ju = np.triu_indices(len(sub), k=1)
         known = (labels[iu] != None) & (labels[ju] != None)  # noqa: E711
         same = labels[iu[known]] == labels[ju[known]]

@@ -179,6 +179,26 @@ def test_empty_core_list_is_config_error(synthetic_corpus, tmp_path, capsys):
     assert "core list is empty" in err
 
 
+def test_core_list_line_with_two_fields_is_config_error(synthetic_corpus, tmp_path, capsys):
+    # one id per line: "rec000 extra" is not the id "rec000 extra"
+    core_file = tmp_path / "core.txt"
+    core_file.write_text("# core\nrec001\nrec000 extra\n")
+    rc, out, err = run_cli(
+        capsys,
+        "diarize",
+        "--config",
+        str(synthetic_corpus),
+        "--output",
+        str(tmp_path / "run"),
+        "--subset",
+        "core",
+        "--core-list",
+        str(core_file),
+    )
+    assert rc == 1
+    assert f"{core_file}:3: expected one recording id per line" in err
+
+
 def test_full_run_with_core_list_adds_core_row(synthetic_corpus, tmp_path, capsys):
     core_file = tmp_path / "core.txt"
     core_file.write_text("rec001\nrec002\n")
@@ -235,7 +255,7 @@ def test_malformed_domain_map_is_config_error(synthetic_corpus, tmp_path, capsys
         str(domain_file),
     )
     assert rc == 1
-    assert "expected 'recording domain'" in err
+    assert f"{domain_file}:1: expected 'recording domain'" in err
 
 
 def test_seed_override_is_recorded_in_manifest(synthetic_corpus, tmp_path, capsys):

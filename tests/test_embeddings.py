@@ -126,16 +126,6 @@ def test_subset_keeps_window_times():
     assert np.allclose(sub2.windows[:, 0], [3.0, 7.0])
 
 
-def test_with_vectors_replaces_payload():
-    seq = make_seq(dim=4)
-    projected = np.zeros((len(seq), 2))
-    out = seq.with_vectors(projected)
-    assert out.dim == 2
-    assert np.allclose(out.windows, seq.windows)
-    with pytest.raises(ValueError):
-        seq.with_vectors(np.zeros((len(seq) + 1, 2)))
-
-
 def test_embeddings_file_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     for trial in range(10):

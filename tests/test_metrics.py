@@ -455,43 +455,54 @@ def _turns(rec, speakers, max_onset):
     )
 
 
+def _regions(rec, max_end):
+    """None, or up to three disjoint regions on a 10 ms grid below ``max_end`` seconds."""
+    cuts = st.lists(st.integers(0, max_end * 100), max_size=6, unique=True).map(sorted)
+    return st.none() | cuts.map(
+        lambda cs: ScoringRegions(rec, tuple((a / 100.0, b / 100.0) for a, b in zip(cs[0::2], cs[1::2])))
+    )
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     ref=_turns("rec", ["A", "B", "C"], 10),
     hyp=_turns("rec", ["x", "y", "z"], 40),
     collar=st.sampled_from([0.0, 0.25, 1.0, 3.0]),
     score_overlap=st.booleans(),
+    regions=_regions("rec", 50),
 )
-def test_hypothesis_past_the_reference_matches_separate_grids(ref, hyp, collar, score_overlap):
-    # hypothesis turns reach up to four times past the reference's end,
-    # where the library counts frames instead of gridding them
-    got = der(ref, hyp, collar=collar, score_overlap=score_overlap)
-    want = der_by_separate_grids(ref, hyp, collar=collar, score_overlap=score_overlap)
+def test_hypothesis_past_the_reference_matches_separate_grids(ref, hyp, collar, score_overlap, regions):
+    # hypothesis turns and scoring regions reach up to four times past the
+    # reference's end, where the library counts frames instead of gridding them
+    got = der(ref, hyp, collar=collar, regions=regions, score_overlap=score_overlap)
+    want = der_by_separate_grids(ref, hyp, collar=collar, regions=regions, score_overlap=score_overlap)
     for name in DERReport.__dataclass_fields__:
         assert getattr(got, name) == getattr(want, name), name
-    assert jer(ref, hyp) == jer_by_separate_grids(ref, hyp)
-    assert optimal_mapping(ref, hyp) == optimal_mapping_by_separate_grids(ref, hyp)
+    assert jer(ref, hyp, regions) == jer_by_separate_grids(ref, hyp, regions)
+    assert optimal_mapping(ref, hyp, regions) == optimal_mapping_by_separate_grids(ref, hyp, regions)
 
 
 def test_hypothesis_far_past_the_reference_needs_no_grid_to_it():
     # a segment 2e5 s out on a 10 s reference: gridding up to it would take
-    # 20 MB per hypothesis speaker; it is 3 s of false alarm and JER union
+    # 20 MB per hypothesis speaker; it is 3 s of false alarm and JER union,
+    # also when a scoring region reaches out there
     ref = ann("rec", (0.0, 6.0, "A"), (6.0, 4.0, "B"))
     hyp = ann("rec", (0.0, 6.0, "x"), (6.0, 4.0, "y"), (2e5, 2.0, "x"), (2e5 + 1.0, 1.0, "y"))
-    tracemalloc.start()
-    try:
-        report = der(ref, hyp, collar=0.25, score_overlap=False)
-        error = jer(ref, hyp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20, peak
-    assert report.speaker_map == (("A", "x"), ("B", "y"))
-    assert (report.missed, report.confusion) == (0.0, 0.0)
-    assert report.false_alarm == pytest.approx(3.0, abs=1e-9)
-    assert report.der == pytest.approx(3.0 / 9.0, abs=1e-9)  # collars leave 9 s scored
-    assert error == pytest.approx(0.5 * (2.0 / 8.0 + 1.0 / 5.0), abs=1e-12)
-    assert report.jer == error
+    for regions in (None, ScoringRegions("rec", ((0.0, 2.1e5),))):
+        tracemalloc.start()
+        try:
+            report = der(ref, hyp, collar=0.25, regions=regions, score_overlap=False)
+            error = jer(ref, hyp, regions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, (regions, peak)
+        assert report.speaker_map == (("A", "x"), ("B", "y"))
+        assert (report.missed, report.confusion) == (0.0, 0.0)
+        assert report.false_alarm == pytest.approx(3.0, abs=1e-9)
+        assert report.der == pytest.approx(3.0 / 9.0, abs=1e-9)  # collars leave 9 s scored
+        assert error == pytest.approx(0.5 * (2.0 / 8.0 + 1.0 / 5.0), abs=1e-12)
+        assert report.jer == error
 
 
 # ---------------------------------------------------------------------------

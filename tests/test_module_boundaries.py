@@ -1,5 +1,6 @@
 """Source-tree checks: no diarkit module reaches into another module's private
-names, and only the container and embeddings modules touch raw blocks and sidecars."""
+names, only the container and embeddings modules touch raw blocks and
+sidecars, and the stage modules take arrays, not embedding sequences."""
 
 import ast
 from pathlib import Path
@@ -100,3 +101,18 @@ def test_raw_io_check_sees_each_form():
         "x = container.read_typed\n"
     )
     assert _raw_io_uses(tree) == [(1, "read_blocks"), (3, "write_sidecar")]
+
+
+# stages below the pipeline take and return arrays; only the pipeline knows
+# a recording's windows and their times
+_ARRAY_STAGES = ("scoring.py", "clustering.py", "reseg.py", "metrics.py")
+
+
+def test_stage_modules_do_not_import_embedding_sequences():
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name in _ARRAY_STAGES
+        for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
+        if isinstance(node, ast.ImportFrom) and "EmbeddingSequence" in {a.name for a in node.names}
+    ]
+    assert offenders == []

@@ -13,6 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diarkit.pipeline as pipeline
 from diarkit.annotations import (
     Annotation,
     ScoringRegions,
@@ -35,8 +36,15 @@ from diarkit.pipeline import (
     synthesize_corpus,
     windows_to_annotation,
 )
-from diarkit.reseg import PosteriorMatrix, VBxConfig, parse_overlap_regions
-from diarkit.scoring import SimilarityMatrix, ground_truth_plda
+from diarkit.reseg import (
+    LDAProjection,
+    PosteriorMatrix,
+    VBxConfig,
+    WhiteningStats,
+    parse_overlap_regions,
+    whiten_and_normalize,
+)
+from diarkit.scoring import PLDAModel, SimilarityMatrix, ground_truth_plda
 
 from oracles import label_runs_by_loop
 
@@ -447,6 +455,38 @@ def test_run_wideband_never_rebuilds_the_square(monkeypatch, scoring, method):
     )
     hyp = run_wideband(seq, reference, config, ModelSet(plda_score=plda, plda_vbx=plda))
     assert len(hyp.speakers()) == len(reference.speakers())
+
+
+def test_run_wideband_hands_whitened_lda_vectors_to_vbx(monkeypatch):
+    # the route whitens, then projects, and VBx gets that float64 array as it is
+    seq, _ = _synthetic_recording()
+    rng = np.random.default_rng(8)
+    stats = WhiteningStats.fit(seq.vectors, ridge=1e-6)
+    lda = LDAProjection(mean=0.01 * rng.normal(size=seq.dim), matrix=rng.normal(size=(seq.dim, 6)))
+    plda = ground_truth_plda(
+        SyntheticSpec.well_separated(3, 16, separation=10.0, duration=60.0, seed=5)
+    )
+    models = ModelSet(
+        plda_score=plda,
+        plda_vbx=PLDAModel(np.zeros(6), 4.0 * np.eye(6), np.eye(6)),
+        whitening=stats,
+        lda=lda,
+    )
+    seen = []
+    vbx = pipeline.vbx_resegment
+
+    def spy(X, *args, **kwargs):
+        seen.append(X)
+        return vbx(X, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "vbx_resegment", spy)
+    hyp = run_wideband(seq, None, PipelineConfig(), models)
+    assert hyp.segments
+    assert len(seen) == 1
+    got = seen[0]
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    want = lda.apply(whiten_and_normalize(seq.vectors, stats))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _no_hook(frame, event, arg):

@@ -220,7 +220,7 @@ def test_score_plda_matrix_reduced_energy_separates_speakers():
     spec = SyntheticSpec.well_separated(3, 16, duration=60.0, seed=30)
     seq, ref, _ = generate_synthetic(spec)
     model = ground_truth_plda(spec)
-    sim = score_plda_matrix(seq, model, energy_fraction=0.3)
+    sim = score_plda_matrix(seq.vectors, model, energy_fraction=0.3, recording_id=seq.recording_id)
     assert sim.recording_id == spec.recording_id
     centers = seq.centers()
     labels = []
