@@ -21,13 +21,14 @@ made by one routine: it gathers P_U as a dense block, solves
 set, and sums each column of X over its endpoints.
 
 Greedy merging needs only the best pair at each step, so the merge loop
-seldom solves a pair.  It bounds each pair's affinity on both sides, for
-all of a merged cluster's pairs at once.  Its exactly summed length-2 and
-length-3 walks through the sparse P are a lower bound, since every longer
-walk adds a nonnegative term; a tail bound on the longer walks, which holds
-whether or not the length-2 walks are present, makes the upper bound.  Both
-allow for the solver's roundoff.  A pair whose lower bound is above every
-other pair's entry and the affinity floor is merged without a solve.
+seldom solves a pair.  It bounds each pair's affinity on both sides.  Its
+exactly summed length-2 and length-3 walks through the sparse P are a lower
+bound, since every longer walk adds a nonnegative term; a tail bound on the
+longer walks, which holds whether or not the length-2 walks are present,
+makes the upper bound.  Both allow for the solver's roundoff.  The walks
+come from cluster-by-vertex tables that a merge updates by adding rows.  A
+pair whose lower bound is above every other pair's entry and the affinity
+floor is merged without a solve.
 Otherwise a pair is solved exactly only while its bound reaches the best
 exact value found so far.  Either way the pair merged is the one a table of
 exact values for every pair would give, ties included.  (Path integral and
@@ -346,12 +347,11 @@ class _MergeEngine:
     of length l >= 2 inside a + b that starts and ends in the same cluster
     and visits the other, z^l times the walk's transition probabilities,
     divided by the endpoint cluster's size squared.  Lengths 2 and 3 are
-    summed exactly, for a merged cluster against all others at once, from
-    its rows and columns of the sparse P; every term is nonnegative, so that
-    sum is the lower bound.  A longer walk crosses a -> b and later b -> a;
-    for fixed crossing steps its mass is at most |a| f_ab f_ba z^l, where
-    f_ab is the most any vertex of a sends into b, and there are C(l, 2)
-    crossing-step pairs, so lengths l >= 4 add at most
+    summed exactly; every term is nonnegative, so that sum is the lower
+    bound.  A longer walk crosses a -> b and later b -> a; for fixed
+    crossing steps its mass is at most |a| f_ab f_ba z^l, where f_ab is the
+    most any vertex of a sends into b, and there are C(l, 2) crossing-step
+    pairs, so lengths l >= 4 add at most
     |a| f_ab f_ba z^4 (6 - 8z + 3z^2) / (1 - z)^3, and never more than
     |a| z^4 / (1 - z).  No term assumes the length-2 walks dominate: they are
     absent when the clusters' edges all run one way.  Last, both bounds
@@ -365,83 +365,112 @@ class _MergeEngine:
     bound is claimed (the lower bound is -inf), nothing is certified and
     every connected pair is solved.  Pairs with no edge between them in
     either direction are exactly zero and never solved.
+
+    The walk sums live in tables over the current partition.  With L the
+    n x m cluster indicator, ``out = L^T P`` (what each cluster sends to
+    each vertex) and ``into = L^T P^T`` (what each vertex sends into each
+    cluster) are dense m x n; ``gain[a, b]`` is the length-2/3 walk mass from
+    a back into a through b, ``peak[a, b]`` is f_ab and ``conn[a, b]`` says
+    whether an edge joins a and b.  :meth:`_start` builds them from sparse
+    products.  Merging j into i adds rows j of ``out`` and ``into`` to rows
+    i.  Walks from the merged cluster C are quadratic in C, so row i of
+    ``gain`` is recomputed; walks from another cluster k through C are
+    linear in C, so column i gains column j and the length-3 walks
+    k -> u -> w -> k along the edges u -> w between the two.  ``peak`` and
+    ``conn`` take the larger of rows i and j, and column i of ``peak`` is
+    read off ``into``.  The state is 2 m n floats and three m x m tables;
+    m <= n / 2 when every vertex has a positive weight, since each initial
+    component then holds a vertex and its nearest neighbor.
     """
 
     def __init__(self, graph: AffinityGraph, z: float):
         self.graph = graph
         self.z = z
         self._P = P = graph.transition
+        n = P.shape[0]
         self._PT = P.T.tocsr()
-        self._src = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+        self._src = np.repeat(np.arange(n), np.diff(P.indptr))
+        # positions in P of the entries touching each vertex: its out-entries,
+        # then its in-entries
+        ends = np.concatenate([self._src, P.indices])
+        self._touching = np.argsort(ends, kind="stable") % len(P.data)
+        self._touch_ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
         self._z2, self._z3 = z**2, z**3
         self._cross_tail = z**4 * (6.0 - 8.0 * z + 3.0 * z * z) / (1.0 - z) ** 3
         self._plain_tail = z**4 / (1.0 - z)
         self._roundoff = 64.0 * np.finfo(float).eps / (1.0 - z) ** 2
 
-    def _edges(self, members):
-        """A cluster's out- and in-edges: for each, its index into
-        ``members``, its target/source vertex, its probability and its
-        position in the (row- or column-ordered) edge arrays."""
-        edges = []
-        for M in (self._P, self._PT):
-            row, pos = _csr_rows(M.indptr, members)
-            edges.append((row, M.indices[pos], M.data[pos], pos))
-        return edges
+    def _start(self, partition: Partition):
+        """The tables for ``partition``, from sparse products."""
+        P, PT, labels = self._P, self._PT, partition.labels.copy()
+        n, m = len(labels), len(partition)
+        self.labels = labels
+        self.clusters: list[np.ndarray | None] = [np.asarray(c) for c in partition.clusters]
+        self.sizes = np.array([len(c) for c in self.clusters], dtype=float)
+        # P's within-cluster entries, turned on as merges make cross entries inner
+        same = labels[self._src] == labels[P.indices]
+        self.intra = scipy.sparse.csr_matrix(
+            (np.where(same, P.data, 0.0), P.indices, P.indptr), shape=P.shape
+        )
 
-    def _walks_from(self, members, edges, labels, intra, m):
-        """Walks from cluster C back into C through each cluster k: the
-        z-weighted length-2 and -3 mass, the most a vertex of k sends into
-        C, and whether any edge joins C and k."""
-        n = len(labels)
-        (o_row, o_col, o_w, _), (i_row, i_col, i_w, _) = edges
-        out = np.bincount(o_col, o_w, n)  # C -> v
-        into = np.bincount(i_col, i_w, n)  # v -> C
-        out2 = np.bincount(o_col, o_w * out[members][o_row], n)  # C -> C -> v
-        into2 = np.bincount(i_col, i_w * into[members][i_row], n)  # v -> C -> C
-        walk2 = out * into
-        # C -> k -> k -> C, C -> k -> C -> C and C -> C -> k -> C
-        walk3 = out * (intra @ into) + out * into2 + out2 * into
-        gain = self._z2 * np.bincount(labels, walk2, m) + self._z3 * np.bincount(labels, walk3, m)
-        peak = np.zeros(m)
-        np.maximum.at(peak, labels[i_col], into[i_col])
-        touches = np.zeros(m, dtype=bool)
-        touches[labels[o_col]] = True
-        touches[labels[i_col]] = True
-        return gain, peak, touches
+        def indicator(weights):  # L with row v scaled by weights[v]
+            return scipy.sparse.csr_matrix((weights, labels, np.arange(n + 1)), shape=(n, m))
 
-    def _walks_through(self, members, edges, inner, labels, intra_out, intra_in, m):
-        """Walks from each cluster k back into k through cluster C:
-        the z-weighted length-2 and -3 mass, and the most a vertex of C
-        sends into k.  ``inner`` marks the out-edges that stay inside C."""
-        (o_row, o_col, o_w, _), (i_row, i_col, i_w, _) = edges
-        o_k, i_k = labels[o_col], labels[i_col]
-        near = np.zeros(m, dtype=bool)
-        near[o_k] = near[i_k] = True
-        near = np.flatnonzero(near)
-        slot = np.empty(m, dtype=np.intp)
-        slot[near] = np.arange(len(near))
-        size, q = len(members), len(near)
-        o_cell = o_row * q + slot[o_k]
-        i_cell = i_row * q + slot[i_k]
+        L = indicator(np.ones(n))
+        # vertex-by-cluster transposes of out and into, then the middle steps of
+        # the length-3 walks: C -> C -> v, and v -> k -> C or v -> C -> C
+        out_t, into_t = PT @ L, P @ L
+        out2_t = PT @ indicator(np.bincount(P.indices, self.intra.data, n))
+        into2_t = self.intra @ into_t + P @ indicator(np.bincount(self._src, self.intra.data, n))
+        walk = out_t.multiply(into_t) * self._z2 + (
+            out_t.multiply(into2_t) + out2_t.multiply(into_t)
+        ) * self._z3
+        self.gain = (L.T @ walk).T.toarray()
+        rows = into_t.tocoo()
+        self.peak = np.zeros((m, m))
+        np.maximum.at(self.peak, (labels[rows.row], rows.col), rows.data)
+        self.conn = (L.T @ out_t).toarray() > 0.0
+        self.conn |= self.conn.T
+        # column-major, so that a merge gathers whole columns
+        self.out = out_t.toarray().T
+        self.into = into_t.toarray().T
 
-        def per_vertex(cells, weights):  # (vertex of C, cluster k) table
-            return np.bincount(cells, weights, size * q).reshape(size, q)
-
-        sends = per_vertex(o_cell, o_w)
-        gets = per_vertex(i_cell, i_w)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(o_row[inner], minlength=size))])
-        col = np.searchsorted(members, o_col[inner])
-        P_CC = scipy.sparse.csr_matrix((o_w[inner], col, indptr), shape=(size, size))
-        # k -> C -> C -> k and k -> C -> k -> k, then k -> k -> C -> k
-        onward = P_CC @ sends + per_vertex(o_cell, o_w * intra_out[o_col])
-        walk2 = (gets * sends).sum(axis=0)
-        walk3 = (gets * onward).sum(axis=0)
-        walk3 += (per_vertex(i_cell, i_w * intra_in[i_col]) * sends).sum(axis=0)
-        gain = np.zeros(m)
-        gain[near] = self._z2 * walk2 + self._z3 * walk3
-        peak = np.zeros(m)
-        peak[near] = sends.max(axis=0)
-        return gain, peak
+    def _merge(self, i: int, j: int):
+        """Merge cluster j into cluster i < j and update the tables."""
+        P, labels, out, into, gain = self._P, self.labels, self.out, self.into, self.gain
+        a, b = self.clusters[i], self.clusters[j]
+        small, other = (a, j) if len(a) <= len(b) else (b, i)
+        # the entries of P between the pair: those touching the smaller one
+        # whose far end lies in the other
+        pos = self._touching[_csr_rows(self._touch_ptr, small)]
+        pos = pos[(labels[self._src[pos]] == other) | (labels[P.indices[pos]] == other)]
+        src, dst, p = self._src[pos], P.indices[pos], P.data[pos]
+        # k -> u -> w -> k along the cross entries u -> w, n/4 entries at a
+        # time so that the gathered columns stay within m n / 4 floats
+        cross = np.zeros(len(gain))
+        block = max(1, len(labels) // 4)
+        for e in range(0, len(p), block):
+            cross += (out[:, src[e : e + block]] * into[:, dst[e : e + block]]) @ p[e : e + block]
+        gain[:, i] += gain[:, j] + self._z3 * cross
+        self.intra.data[pos] = p
+        out[i] += out[j]
+        into[i] += into[j]
+        labels[b] = i
+        members = np.sort(np.concatenate([a, b]))
+        self.clusters[i], self.clusters[j] = members, None
+        self.sizes[i] = len(members)
+        # walks from C back into C, through the cluster of the middle vertex
+        inside = labels == i
+        sends, gets = out[i], into[i]
+        sends2 = self._PT @ np.where(inside, sends, 0.0)  # C -> C -> v
+        gets2 = self.intra @ gets + P @ np.where(inside, gets, 0.0)  # v -> k -> C, v -> C -> C
+        walk = sends * gets * self._z2 + (sends * gets2 + sends2 * gets) * self._z3
+        gain[i] = np.bincount(labels, walk, len(gain))
+        np.maximum(self.peak[i], self.peak[j], out=self.peak[i])
+        self.peak[:, i] = 0.0
+        np.maximum.at(self.peak[:, i], labels, gets)
+        self.conn[i] |= self.conn[j]
+        self.conn[:, i] |= self.conn[:, j]
 
     def _bounds(self, gain_ab, gain_ba, f_ab, f_ba, size_a, size_b):
         """Lower and upper bounds on the computed affinities of pairs (a, b).
@@ -459,9 +488,8 @@ class _MergeEngine:
         return walks * (1.0 - 1e-9) - slack, (walks + tail) * (1.0 + 1e-9) + slack
 
     def run(self, initial: Partition, target: int, affinity_floor: float = float("-inf")):
-        clusters: list[np.ndarray | None] = [np.asarray(c) for c in initial.clusters]
         trace: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        m = len(clusters)
+        m = len(initial)
         if m <= target:
             if m < target:
                 warnings.warn(
@@ -470,10 +498,8 @@ class _MergeEngine:
                     stacklevel=3,
                 )
             return Partition.from_clusters(initial.clusters), trace
-        P = self._P
-        n = P.shape[0]
-        labels = initial.labels.copy()
-        sizes = np.array([len(c) for c in clusters], dtype=float)
+        self._start(initial)
+        clusters, sizes, conn = self.clusters, self.sizes, self.conn
         dead = np.zeros(m, dtype=bool)
         pi: list[float | None] = [None] * m
 
@@ -482,25 +508,9 @@ class _MergeEngine:
                 pi[k] = path_integral(self.graph, clusters[k], self.z)
             return pi[k]
 
-        # P's within-cluster edges, updated in place as merges turn cross
-        # edges into inner ones, and each vertex's inner out- and in-mass
-        same = labels[self._src] == labels[P.indices]
-        intra = scipy.sparse.csr_matrix(
-            (np.where(same, P.data, 0.0), P.indices, P.indptr), shape=P.shape
+        low, upper = self._bounds(
+            self.gain, self.gain.T, self.peak, self.peak.T, sizes[:, None], sizes[None, :]
         )
-        intra_out = np.bincount(self._src, intra.data, n)
-        intra_in = np.bincount(P.indices, intra.data, n)
-
-        # gain[a, b]: length-2/3 walk mass from a back into a through b;
-        # peak[a, b]: the most one vertex of a sends into b.  After this
-        # first table a merge needs only the merged cluster's row and column.
-        gain = np.empty((m, m))
-        peak = np.empty((m, m))
-        conn = np.empty((m, m), dtype=bool)
-        for c, members in enumerate(clusters):
-            edges = self._edges(members)
-            gain[c], peak[:, c], conn[c] = self._walks_from(members, edges, labels, intra, m)
-        low, upper = self._bounds(gain, gain.T, peak, peak.T, sizes[:, None], sizes[None, :])
         table = np.where(conn, upper, 0.0)
         table[np.tril_indices(m)] = -np.inf
         lower = np.where(conn, low, 0.0)
@@ -517,32 +527,21 @@ class _MergeEngine:
                 if lower[i, j] > max(rest, affinity_floor):
                     break  # certified: the unique exact maximum, above the floor
                 table[i, j] = _pair_gain(
-                    P, clusters[i], clusters[j], self.z, pi_of(i), pi_of(j)
+                    self._P, clusters[i], clusters[j], self.z, pi_of(i), pi_of(j)
                 )
                 exact[i, j] = True
             if exact[i, j] and table[i, j] <= affinity_floor:
                 break
             trace.append((tuple(clusters[i].tolist()), tuple(clusters[j].tolist())))
-            labels[clusters[j]] = i
-            members = np.sort(np.concatenate([clusters[i], clusters[j]]))
-            clusters[i], clusters[j] = members, None
-            sizes[i] = len(members)
+            self._merge(i, j)
             pi[i] = None
             dead[j] = True
             table[j, :] = table[:, j] = -np.inf
 
-            edges = self._edges(members)
-            (o_row, o_col, o_w, o_pos), (i_row, i_col, i_w, _) = edges
-            inner = labels[o_col] == i
-            intra.data[o_pos[inner]] = o_w[inner]
-            intra_out[members] = np.bincount(o_row[inner], o_w[inner], len(members))
-            into = labels[i_col] == i
-            intra_in[members] = np.bincount(i_row[into], i_w[into], len(members))
-            gain_from, peak_in, touches = self._walks_from(members, edges, labels, intra, m)
-            gain_via, peak_out = self._walks_through(
-                members, edges, inner, labels, intra_out, intra_in, m
+            touches = conn[i]
+            low, upper = self._bounds(
+                self.gain[i], self.gain[:, i], self.peak[i], self.peak[:, i], sizes[i], sizes
             )
-            low, upper = self._bounds(gain_from, gain_via, peak_out, peak_in, sizes[i], sizes)
             row = np.where(dead, -np.inf, np.where(touches, upper, 0.0))
             table[:i, i] = row[:i]
             table[i, i + 1 :] = row[i + 1 :]
@@ -554,14 +553,11 @@ class _MergeEngine:
         return Partition.from_clusters([c.tolist() for c in clusters if c is not None]), trace
 
 
-def _csr_rows(indptr: np.ndarray, rows: np.ndarray):
-    """Entry positions of the given CSR rows, in row order, with each
-    entry's index into ``rows``."""
+def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Entry positions of the given CSR rows, in row order."""
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
-    local = np.repeat(np.arange(len(rows)), counts)
-    pos = np.arange(len(local)) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return local, pos
+    return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
 
 def pic_cluster(graph: AffinityGraph, params: PICParams) -> Partition:

@@ -343,6 +343,9 @@ def test_criterion_03_synthetic_corpus_error_rates(acceptance_log, acceptance_co
 # plda+pic then cosine+pic on criterion 03's corpus
 MERGE_TRACE_SHA256 = "2d061f9e95310c18f789b8d608b69332306469d85999ca31dc3cbe2a5a6e05be"
 MERGE_TRACE_MERGES = 2520
+# initial components of those merges, 620 plda+pic and 1979 cosine+pic: the
+# merge state grows with them
+MERGE_COMPONENTS = 2599
 # work of those merges as measured when pinned: np.linalg.solve calls made
 # inside pic_merge_trace and path_integral calls; a change that lowers one
 # lowers its pin
@@ -354,11 +357,12 @@ def test_merge_trace_hash_on_the_acceptance_corpus(acceptance_corpus, tmp_path, 
     """The PIC merges of criterion 03's two PIC configs, pair by pair, match
     the pinned hash: a merge loop that picks another pair at any step of any
     recording changes it, even where the output files come out the same.
-    The same runs count the merges' solves and path integrals."""
+    The same runs count the initial components and the merges' solves and
+    path integrals."""
     config_path, _ = acceptance_corpus
     base = PipelineConfig.load(config_path)
     digest = hashlib.sha256()
-    merges = solves = path_integrals = 0
+    merges = components = solves = path_integrals = 0
     merging = False
     solve = np.linalg.solve
     path_integral = diarkit.clustering.path_integral
@@ -374,7 +378,8 @@ def test_merge_trace_hash_on_the_acceptance_corpus(acceptance_corpus, tmp_path, 
         return path_integral(*args, **kwargs)
 
     def hashed_pic_cluster(graph, params):
-        nonlocal merges, merging
+        nonlocal merges, components, merging
+        components += len(init_partition(graph))
         merging = True
         try:
             partition, trace = pic_merge_trace(graph, params)
@@ -391,6 +396,7 @@ def test_merge_trace_hash_on_the_acceptance_corpus(acceptance_corpus, tmp_path, 
         manifest = run_corpus(config, tmp_path / name, workers=1)
         assert len(manifest.succeeded()) == 10, name
     assert merges == MERGE_TRACE_MERGES
+    assert components == MERGE_COMPONENTS
     assert digest.hexdigest() == MERGE_TRACE_SHA256
     assert solves <= MERGE_SOLVES_AT_MOST, solves
     assert path_integrals <= MERGE_PATH_INTEGRALS_AT_MOST, path_integrals

@@ -1010,50 +1010,115 @@ def test_merge_bounds_hold_for_float_and_exact_affinities(data):
         u, v = one_way[rng.integers(len(one_way))]
         labels = labels + 2
         labels[u], labels[v] = 0, 1
-    partition = Partition.from_labels(labels)
-    clusters = [np.asarray(c) for c in partition.clusters]
-    labels = partition.labels
-    m = len(clusters)
-    sizes = np.array([len(c) for c in clusters], dtype=float)
-
-    # the merge loop's state for this partition, then both bound routes: every
-    # cluster's walks back into itself, and one cluster's walks through it
     engine = _MergeEngine(graph, z)
-    same = labels[engine._src] == labels[P.indices]
-    intra = scipy.sparse.csr_matrix(
-        (np.where(same, P.data, 0.0), P.indices, P.indptr), shape=P.shape
-    )
-    intra_out = np.bincount(engine._src, intra.data, n)
-    intra_in = np.bincount(P.indices, intra.data, n)
-    gain, peak = np.empty((m, m)), np.empty((m, m))
-    conn = np.empty((m, m), dtype=bool)
-    for c, members in enumerate(clusters):
-        edges = engine._edges(members)
-        gain[c], peak[:, c], conn[c] = engine._walks_from(members, edges, labels, intra, m)
-    lower, upper = engine._bounds(gain, gain.T, peak, peak.T, sizes[:, None], sizes[None, :])
-    c = data.draw(st.integers(0, m - 1), label="merged cluster")
-    edges = engine._edges(clusters[c])
-    inner = labels[edges[0][1]] == c
-    gain_via, peak_out = engine._walks_through(
-        clusters[c], edges, inner, labels, intra_out, intra_in, m
-    )
-    row_lower, row_upper = engine._bounds(gain[c], gain_via, peak_out, peak[:, c], sizes[c], sizes)
-
+    engine._start(Partition.from_labels(labels))
     total = _exact_path_sums(dense, z)
-    pi = [path_integral(graph, members, z) for members in clusters]
-    for a, b in zip(*np.nonzero(np.triu(conn, 1))):
-        got = _pair_gain(P, clusters[a], clusters[b], z, pi[a], pi[b])
-        union = np.union1d(clusters[a], clusters[b])
-        ends_a, ends_b = set(clusters[a].tolist()), set(clusters[b].tolist())
-        exact = (total(union, ends_a) - total(ends_a, ends_a)) + (
-            total(union, ends_b) - total(ends_b, ends_b)
-        )
-        inv = 1.0 / sizes[a] + 1.0 / sizes[b]
-        slack = inv * (2e-14 + engine._roundoff * (sizes[a] + sizes[b]))
-        bounds = [(lower[a, b], upper[a, b])]
-        if c in (a, b):
-            bounds.append((row_lower[a + b - c], row_upper[a + b - c]))
-        for low, high in bounds:
+
+    def bounds_hold(pairs):
+        """Each (a, b, low, high): a connected pair's float and 50-digit
+        affinities lie within its bounds, at most the slack apart."""
+        clusters = engine.clusters
+        for a, b, low, high in pairs:
+            pi_a, pi_b = (path_integral(graph, clusters[c], z) for c in (a, b))
+            got = _pair_gain(P, clusters[a], clusters[b], z, pi_a, pi_b)
+            union = np.union1d(clusters[a], clusters[b])
+            ends_a, ends_b = set(clusters[a].tolist()), set(clusters[b].tolist())
+            exact = (total(union, ends_a) - total(ends_a, ends_a)) + (
+                total(union, ends_b) - total(ends_b, ends_b)
+            )
+            size_a, size_b = len(ends_a), len(ends_b)
+            slack = (1.0 / size_a + 1.0 / size_b) * engine._roundoff * (size_a + size_b)
             assert low <= got <= high, (a, b, low, got, high)
             assert mpmath.mpf(low) <= exact <= mpmath.mpf(high), (a, b, low, exact, high)
-        assert abs(mpmath.mpf(got) - exact) <= slack, (a, b, got, exact, slack)
+            assert abs(mpmath.mpf(got) - exact) <= slack, (a, b, got, exact, slack)
+
+    # the first table, for every connected pair
+    sizes = engine.sizes
+    lower, upper = engine._bounds(
+        engine.gain, engine.gain.T, engine.peak, engine.peak.T, sizes[:, None], sizes[None, :]
+    )
+    connected = np.argwhere(np.triu(engine.conn, 1))
+    bounds_hold([(a, b, lower[a, b], upper[a, b]) for a, b in connected])
+    if not len(connected):
+        return
+    # one connected pair merged through the engine's update: the merged
+    # cluster's row (walks from it) and column (walks through it, with the
+    # walks that cross between the pair) against every cluster it touches
+    i, j = connected[data.draw(st.integers(0, len(connected) - 1), label="merged pair")]
+    engine._merge(i, j)
+    low, high = engine._bounds(
+        engine.gain[i], engine.gain[:, i], engine.peak[i], engine.peak[:, i], sizes[i], sizes
+    )
+    touched = [
+        c for c, members in enumerate(engine.clusters)
+        if members is not None and c != i and engine.conn[i, c]
+    ]
+    bounds_hold([(i, c, low[c], high[c]) for c in touched])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 80),
+    clusters=st.integers(2, 40),
+    z=st.sampled_from([0.01, 0.3]),
+)
+def test_merge_tables_match_a_fresh_build_after_every_merge(seed, n, clusters, z):
+    """Merging updates the tables by addition; after each merge of a random
+    live pair they match the tables built afresh for the current partition:
+    ``conn`` and the per-entry ``intra`` exactly, the rest up to summation
+    order.  ``peak`` is exactly the per-cluster maximum of ``into``."""
+    rng = np.random.default_rng(seed)
+    graph = build_knn_graph(plda_matrix(rng, n), num_neighbors=int(rng.integers(1, min(8, n))))
+    labels = rng.integers(min(clusters, n), size=n)
+    engine = _MergeEngine(graph, z)
+    engine._start(Partition.from_labels(labels))
+    while True:
+        live = [c for c, members in enumerate(engine.clusters) if members is not None]
+        fresh = _MergeEngine(graph, z)
+        fresh._start(Partition.from_clusters([engine.clusters[c] for c in live]))
+        assert [c.tolist() for c in fresh.clusters] == [engine.clusters[c].tolist() for c in live]
+        assert np.array_equal(np.searchsorted(live, engine.labels), fresh.labels)
+        grid = np.ix_(live, live)
+        off = ~np.eye(len(live), dtype=bool)
+        assert np.array_equal(engine.conn[grid][off], fresh.conn[off])
+        np.testing.assert_allclose(engine.gain[grid][off], fresh.gain[off], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(engine.peak[grid][off], fresh.peak[off], rtol=1e-12, atol=0)
+        for mine, theirs in ((engine.out, fresh.out), (engine.into, fresh.into)):
+            np.testing.assert_allclose(mine[live], theirs, rtol=1e-12, atol=0)
+        assert np.array_equal(engine.intra.data, fresh.intra.data)
+        most = np.zeros((len(live), len(live)))
+        for a, c in enumerate(live):
+            np.maximum.at(most[:, a], fresh.labels, engine.into[c])
+        assert np.array_equal(engine.peak[grid][off], most[off])
+        if len(live) == 1:
+            break
+        i, j = sorted(rng.choice(live, size=2, replace=False))
+        engine._merge(int(i), int(j))
+
+
+# peak of pic_merge_trace over (2 m n + 4 m^2) float64s: 1.72 measured on the
+# graph below (m = 220, n = 1200), solve workspace included
+MERGE_PEAK_FACTOR = 2.0
+
+
+def test_merge_state_memory_is_linear_in_components_times_vertices():
+    """The merge holds 2 m n floats of vertex tables and m x m pair tables;
+    on a cosine-like graph with m >= 150 components its peak stays within a
+    small multiple of that."""
+    rng = np.random.default_rng(35)
+    n, dim = 1200, 32
+    speakers = rng.normal(size=(4, dim))
+    X = speakers[rng.integers(4, size=n)] + rng.normal(scale=1.5, size=(n, dim))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    graph = build_knn_graph(SimilarityMatrix("rec", X @ X.T, kind="cosine"), num_neighbors=30)
+    m = len(init_partition(graph))
+    assert m >= 150
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pic_merge_trace(graph, PICParams(target_clusters=4))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < MERGE_PEAK_FACTOR * (2 * m * n + 4 * m * m) * 8, (m, peak)
