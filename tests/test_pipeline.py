@@ -1,6 +1,7 @@
 """Tests for config handling, the per-recording routes and corpus runs."""
 
 import dataclasses
+import hashlib
 import re
 import shutil
 import sys
@@ -691,3 +692,42 @@ def test_synthesize_corpus_validates_speaker_range(tmp_path):
         synthesize_corpus(tmp_path, min_speakers=0)
     with pytest.raises(ValueError, match="min_speakers"):
         synthesize_corpus(tmp_path, min_speakers=4, max_speakers=3)
+
+
+def _tree_sha256(root: Path) -> str:
+    """SHA-256 over the sorted relative paths of the files under root, each
+    followed by the SHA-256 of its bytes."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
+# every byte that synthesize_corpus writes at seed 101, for criterion 03's
+# corpus, long_wideband's and routed_short's (before its routing files); a
+# change to the turn sampling, the draw order or the model files moves them
+@pytest.mark.parametrize(
+    "corpus, expected",
+    [
+        (
+            dict(num_recordings=10, min_speakers=3, max_speakers=5, duration=300.0),
+            "a175c98a5c299d20dfd711a5f22ee0fe54a8d9986a197491d873b7f3e0f6264e",
+        ),
+        (
+            dict(num_recordings=2, min_speakers=4, max_speakers=4, duration=1200.0),
+            "75c2a45633a677ae9d5e7e3836a6cf1177eaf3013f2605283bc148438863e14c",
+        ),
+        (
+            dict(
+                num_recordings=120, min_speakers=2, max_speakers=4, duration=60.0,
+                overlap_fraction=0.2,
+            ),
+            "f7f3fcf2cf8d482157944a86b1647d215e1dd3871183f30f99f0dc7c86ed4232",
+        ),
+    ],
+    ids=["criterion_03", "long_wideband", "routed_short"],
+)
+def test_synthesize_corpus_bytes_are_pinned(corpus, expected, tmp_path):
+    synthesize_corpus(tmp_path, embedding_dim=16, separation=10.0, seed=101, **corpus)
+    assert _tree_sha256(tmp_path) == expected
