@@ -158,9 +158,14 @@ class SyntheticSpec:
 
     Speaker turns are sampled back to back with uniform lengths in
     [turn_min, turn_max], never repeating the previous speaker when more than
-    one is available.  Window embeddings are Gaussian around the active
-    speaker's mean; a window under two overlapped speakers gets the mean of
-    the two draws, and silence windows are drawn around the origin.
+    one is available.  A window is under every turn with ``on <= c < off``,
+    where c is the window's centre.  Its embedding is the mean of one
+    Gaussian draw (standard deviation ``within_std``) around each of those
+    turns' speaker means; a window under no turn takes one draw around the
+    origin.  Draws come from one generator seeded with ``seed``, after the
+    turn sampling: window by window in time order, and within a window in
+    turn order.  Every seed's bytes depend on that order, so it is part of
+    the corpus format.
     """
 
     num_speakers: int
@@ -278,6 +283,12 @@ def generate_synthetic(
     annotation matching the sampled turns exactly, and an annotation of the
     pairwise-overlap regions (None when overlap_fraction is 0).  Fixed seed
     gives identical output.
+
+    Turn onsets and offsets are strictly increasing (raises ValueError if
+    not), so the turns under a window centred at c are the index run from
+    the first offset past c to the last onset at or before c.  All draws are
+    taken in one ``standard_normal`` call, in the order that
+    :class:`SyntheticSpec` states, and each vector is cast to float32 once.
     """
     rng = np.random.default_rng(spec.seed)
     turns = _sample_turns(spec, rng)
@@ -289,19 +300,26 @@ def generate_synthetic(
     ]
     reference = Annotation(spec.recording_id, tuple(segments))
 
-    wins = window_times(spec.duration, spec.window_size, spec.window_shift)
-    centers = wins.mean(axis=1)
-    vectors = np.empty((len(wins), spec.embedding_dim), dtype=np.float32)
-    for i, c in enumerate(centers):
-        active = [spk for on, off, spk in turns if on <= c < off]
-        if not active:
-            draw = rng.normal(0.0, spec.within_std, spec.embedding_dim)
-        elif len(active) == 1:
-            draw = rng.normal(spec.speaker_means[active[0]], spec.within_std)
-        else:
-            draws = [rng.normal(spec.speaker_means[k], spec.within_std) for k in active]
-            draw = np.mean(draws, axis=0)
-        vectors[i] = draw.astype(np.float32)
+    onsets = np.array([on for on, _, _ in turns])
+    offsets = np.array([off for _, off, _ in turns])
+    if (np.diff(onsets) <= 0).any() or (np.diff(offsets) <= 0).any():
+        raise ValueError("turn onsets and offsets must be strictly increasing")
+    centers = window_times(spec.duration, spec.window_size, spec.window_shift).mean(axis=1)
+    # with both bounds increasing, the turns with on <= c < off are one index run
+    first = np.searchsorted(offsets, centers, "right")
+    active = np.maximum(np.searchsorted(onsets, centers, "right") - first, 0)
+    # a silence window takes one draw from the row past the speakers: the origin
+    first[active == 0] = len(turns)
+    draws = np.maximum(active, 1)
+    starts = np.cumsum(draws) - draws
+    window = np.repeat(np.arange(len(centers)), draws)
+    turn = first[window] + np.arange(len(window)) - starts[window]
+    speaker = np.array([spk for _, _, spk in turns] + [spec.num_speakers], dtype=int)
+    locs = np.vstack([spec.speaker_means, np.zeros(spec.embedding_dim)])[speaker[turn]]
+    # Generator.normal(loc, scale) is loc + scale * standard_normal, draw by
+    # draw; a window's draws are summed in turn order, then divided, as np.mean
+    values = locs + spec.within_std * rng.standard_normal((len(window), spec.embedding_dim))
+    vectors = (np.add.reduceat(values, starts, axis=0) / draws[:, None]).astype(np.float32)
 
     seq = EmbeddingSequence(
         recording_id=spec.recording_id,

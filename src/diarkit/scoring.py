@@ -135,6 +135,11 @@ def fit_pca(X: np.ndarray, target: int | float) -> PCAModel:
     return PCAModel(mean=mean, basis=vt[:d].T, eigenvalues=eigenvalues[:d])
 
 
+def _semidefinite(between: np.ndarray) -> bool:
+    """PLDAModel's PSD check: no eigenvalue below -1e-8 * max(1, max|between|)."""
+    return np.linalg.eigvalsh(between).min() >= -1e-8 * max(1.0, np.abs(between).max())
+
+
 @dataclass(frozen=True)
 class PLDAModel:
     """Two-covariance PLDA: global mean, between- and within-speaker covariances.
@@ -162,7 +167,7 @@ class PLDAModel:
             np.linalg.cholesky(within)
         except np.linalg.LinAlgError:
             raise ValueError("within covariance must be positive definite") from None
-        if np.linalg.eigvalsh(between).min() < -1e-8 * max(1.0, np.abs(between).max()):
+        if not _semidefinite(between):
             raise ValueError("between covariance must be positive semidefinite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "between", 0.5 * (between + between.T))
@@ -173,8 +178,19 @@ class PLDAModel:
         return self.mean.shape[0]
 
     def save(self, path: str | Path) -> None:
+        """Write the model as float32.  Where that rounding would take a
+        rank-deficient between covariance out of the PSD tolerance, so that
+        :meth:`load` would reject the file, the stored copy has the
+        covariance's eigenvalues raised to float32 eps * max|between| * dim
+        first; every other model is written as it is."""
+        between = self.between
+        if not _semidefinite(between.astype(np.float32).astype(float)):
+            values, vectors = np.linalg.eigh(between)
+            floor = np.finfo(np.float32).eps * np.abs(between).max() * self.dim
+            raised = (vectors * np.maximum(values, floor)) @ vectors.T
+            between = 0.5 * (raised + raised.T)
         container.write_typed(
-            path, "plda", [self.mean, self.between, self.within],
+            path, "plda", [self.mean, between, self.within],
             arrays="mean,between,within", dim=self.dim,
         )
 

@@ -18,6 +18,13 @@ import scipy.stats
 
 from diarkit.annotations import Annotation, ScoringRegions, Segment
 from diarkit.clustering import Partition, _pair_gain, init_partition, path_integral
+from diarkit.embeddings import (
+    EmbeddingSequence,
+    SyntheticSpec,
+    _apply_overlap,
+    _sample_turns,
+    window_times,
+)
 from diarkit.metrics import DERReport
 from diarkit.scoring import SimilarityMatrix
 
@@ -676,3 +683,44 @@ def label_runs_by_loop(recording_id: str, bounds, labels, names) -> list[Segment
                 segments.append(Segment(recording_id, onset, offset - onset, names[lab]))
             run_start = i
     return segments
+
+
+def generate_synthetic_by_loop(spec: SyntheticSpec) -> tuple[EmbeddingSequence, Annotation, Annotation | None]:
+    """``embeddings.generate_synthetic`` window by window: scan every turn
+    for each window centre and draw from the generator one call at a time."""
+    rng = np.random.default_rng(spec.seed)
+    turns, overlap_regions = _apply_overlap(spec, _sample_turns(spec, rng))
+    reference = Annotation(
+        spec.recording_id,
+        tuple(Segment(spec.recording_id, on, off - on, f"speaker{spk}") for on, off, spk in turns),
+    )
+    centers = window_times(spec.duration, spec.window_size, spec.window_shift).mean(axis=1)
+    vectors = np.empty((len(centers), spec.embedding_dim), dtype=np.float32)
+    for i, c in enumerate(centers):
+        active = [spk for on, off, spk in turns if on <= c < off]
+        if not active:
+            draw = rng.normal(0.0, spec.within_std, spec.embedding_dim)
+        elif len(active) == 1:
+            draw = rng.normal(spec.speaker_means[active[0]], spec.within_std)
+        else:
+            draws = [rng.normal(spec.speaker_means[k], spec.within_std) for k in active]
+            draw = np.mean(draws, axis=0)
+        vectors[i] = draw.astype(np.float32)
+    seq = EmbeddingSequence(
+        recording_id=spec.recording_id,
+        vectors=vectors,
+        window_size=spec.window_size,
+        window_shift=spec.window_shift,
+        recording_duration=spec.duration,
+    )
+    overlap = None
+    if overlap_regions:
+        overlap = Annotation(
+            spec.recording_id,
+            tuple(
+                Segment(spec.recording_id, on, off - on, "overlap")
+                for on, off in overlap_regions
+                if off > on
+            ),
+        )
+    return seq, reference, overlap

@@ -298,15 +298,33 @@ def test_criterion_02_affinity_symmetry_and_disconnection(acceptance_log):
     )
 
 
-def test_criterion_03_synthetic_corpus_error_rates(acceptance_log, acceptance_corpus, tmp_path):
+# VBx iterations over criterion 03's three runs, as measured when pinned; a
+# change that lowers the count lowers the pin
+VBX_ITERATIONS_AT_MOST = 90
+
+
+def test_criterion_03_synthetic_corpus_error_rates(
+    acceptance_log, acceptance_corpus, tmp_path, monkeypatch
+):
     """Corpus DER under 5% with cosine+PIC and PLDA+PIC, under 10% with the
-    agglomerative baseline, all within a 30 second budget."""
+    agglomerative baseline, all within a 30 second budget.  The same runs
+    count VBx iterations."""
     config_path, synth_elapsed = acceptance_corpus
     base = PipelineConfig.load(config_path)
     cosine = cosine_config(base)
     ahc = dataclasses.replace(
         base, clustering=dataclasses.replace(base.clustering, method="ahc")
     )
+    iterations = []  # one entry per vbx_resegment call; list.append is thread-safe
+    vbx_resegment = diarkit.pipeline.vbx_resegment
+
+    def counted_vbx(*args, **kwargs):
+        trace = kwargs.setdefault("elbo_trace", [])
+        result = vbx_resegment(*args, **kwargs)
+        iterations.append(len(trace))
+        return result
+
+    monkeypatch.setattr(diarkit.pipeline, "vbx_resegment", counted_vbx)
 
     start = time.perf_counter()
     ders = {}
@@ -335,8 +353,9 @@ def test_criterion_03_synthetic_corpus_error_rates(acceptance_log, acceptance_co
         f"plda+ahc {ders['plda+ahc']:.4f}, {elapsed:.1f}s "
         f"(synthesis {synth_elapsed:.1f}s, "
         + ", ".join(f"{name} {sec:.1f}s" for name, sec in seconds.items())
-        + ")",
+        + f"), {sum(iterations)} VBx iterations",
     )
+    assert sum(iterations) <= VBX_ITERATIONS_AT_MOST, sum(iterations)
 
 
 # sha256 of repr(trace) of every pic_merge_trace call, in run order, over

@@ -14,6 +14,9 @@ from diarkit.embeddings import (
     write_embeddings,
 )
 
+import diarkit.embeddings
+from oracles import generate_synthetic_by_loop
+
 
 # ---------------------------------------------------------------------------
 # window enumeration
@@ -257,6 +260,68 @@ def test_synthetic_overlap_windows_sit_between_means():
             assert np.linalg.norm(vec - midpoint) < 6.0
             hits += 1
     assert hits > 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_speakers=st.integers(1, 6),
+    extra_dim=st.integers(0, 3),
+    separation=st.floats(1.0, 12.0),
+    within_std=st.sampled_from([0.3, 1.0, 2.5]),
+    pause=st.sampled_from(["none", "overlap", "gaps"]),
+    overlap_fraction=st.floats(0.0, 0.5),
+    fixed_turns=st.booleans(),
+    duration_ticks=st.integers(200, 20000),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_synthetic_matches_the_window_loop(
+    num_speakers, extra_dim, separation, within_std, pause, overlap_fraction, fixed_turns,
+    duration_ticks, seed,
+):
+    """Vectors, reference and overlap regions equal the per-window loop's to
+    the byte: the draw order is part of the corpus format.  Durations are in
+    0.01 s ticks, mostly not a multiple of the 0.25 s shift; with 2 s turns
+    and no gaps or overlap, window centres (0.75 + 0.25 k) fall on turn
+    boundaries."""
+    kwargs = dict(duration=duration_ticks / 100.0, seed=seed)
+    if pause == "overlap":
+        kwargs["overlap_fraction"] = overlap_fraction
+    elif pause == "gaps":
+        kwargs.update(gap_min=0.1, gap_max=2.5)
+    if fixed_turns:
+        kwargs.update(turn_min=2.0, turn_max=2.0)
+    spec = SyntheticSpec.well_separated(
+        num_speakers, num_speakers + extra_dim, separation=separation, within_std=within_std,
+        **kwargs,
+    )
+    seq, ref, overlap = generate_synthetic(spec)
+    loop_seq, loop_ref, loop_overlap = generate_synthetic_by_loop(spec)
+    assert seq.vectors.dtype == np.float32
+    assert seq.vectors.tobytes() == loop_seq.vectors.tobytes()
+    assert ref == loop_ref
+    assert overlap == loop_overlap
+
+
+def test_synthetic_window_centred_on_a_turn_boundary_takes_the_later_turn():
+    spec = SyntheticSpec.well_separated(
+        2, 4, separation=40.0, duration=20.0, seed=2, turn_min=2.0, turn_max=2.0
+    )
+    seq, ref, _ = generate_synthetic(spec)
+    centers = seq.centers()
+    for seg in ref.segments[1:]:
+        (i,) = np.flatnonzero(centers == seg.onset)
+        k = int(seg.speaker.removeprefix("speaker"))
+        assert np.argmin(np.linalg.norm(spec.speaker_means - seq.vectors[i], axis=1)) == k
+
+
+def test_synthetic_rejects_turns_out_of_order(monkeypatch):
+    def swapped(spec, turns):
+        return [turns[1], turns[0], *turns[2:]], []
+
+    monkeypatch.setattr(diarkit.embeddings, "_apply_overlap", swapped)
+    spec = SyntheticSpec.well_separated(2, 4, duration=30.0, seed=1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        generate_synthetic(spec)
 
 
 def test_synthetic_spec_validation():

@@ -731,3 +731,26 @@ def _tree_sha256(root: Path) -> str:
 def test_synthesize_corpus_bytes_are_pinned(corpus, expected, tmp_path):
     synthesize_corpus(tmp_path, embedding_dim=16, separation=10.0, seed=101, **corpus)
     assert _tree_sha256(tmp_path) == expected
+
+
+@pytest.mark.parametrize("separation", [10.0, 4.0])
+def test_synthesize_corpus_plda_models_load_for_every_speaker_count(separation, tmp_path):
+    """The between covariance has rank max_speakers - 1; its float32 file copy
+    must still pass PLDAModel's PSD check (it failed at 6, 7, 8, 10 and 11)."""
+    for max_speakers in range(1, 12):
+        root = tmp_path / str(max_speakers)
+        config = PipelineConfig.load(
+            synthesize_corpus(
+                root, num_recordings=1, min_speakers=1, max_speakers=max_speakers,
+                duration=10.0, separation=separation, seed=1,
+            )
+        )
+        primary = ground_truth_plda(
+            SyntheticSpec.well_separated(max_speakers, 16, separation=separation)
+        )
+        for path, between in (
+            (config.vbx.plda_model_primary, primary.between),
+            (config.vbx.plda_model_secondary, primary.between * 0.8),
+        ):
+            loaded = PLDAModel.load(path)
+            assert np.abs(loaded.between - between).max() <= 1e-5 * np.abs(between).max()

@@ -49,7 +49,9 @@ def test_seed_sweep_runs_one_seed_of_a_workload():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     (line,) = done.stdout.splitlines()
-    assert re.fullmatch(r"seed 7: exit 0, failed: none, plda\+pic [0-9a-f]{12} 0\.\d{5}", line), line
+    assert re.fullmatch(
+        r"seed 7: exit 0, failed: none, input [0-9a-f]{12}, plda\+pic [0-9a-f]{12} 0\.\d{5}", line
+    ), line
 
 
 def _seed_sweep_module():
@@ -62,15 +64,20 @@ def _seed_sweep_module():
 def test_seed_sweep_fails_on_a_failed_run_or_a_digest_difference():
     sweep = _seed_sweep_module()
     assert list(sweep.parse_seeds("3-5")) == [3, 4, 5] and list(sweep.parse_seeds("9")) == [9]
-    run = {"exit": 0, "failed": [], "configs": {"plda+pic": ("0c4600159943", 0.09127)}}
+    run = {
+        "exit": 0, "failed": [], "input": "9b1059eae2d5",
+        "configs": {"plda+pic": ("0c4600159943", 0.09127)},
+    }
     other = {**run, "configs": {"plda+pic": ("122915bd7e0f", 0.09127)}}
+    other_inputs = {**run, "input": "75c2a45633a6"}
     failed = {**run, "exit": 1, "failed": ["der_under_ceiling"]}
     assert sweep.compare([run]) == (True, "")
     assert sweep.compare([run, dict(run)]) == (True, " | digests equal")
     assert sweep.compare([run, other]) == (False, " | digests DIFFER")
+    assert sweep.compare([run, other_inputs]) == (False, " | digests DIFFER")
     assert sweep.compare([failed]) == (False, "")
     assert sweep.describe(failed) == (
-        "exit 1, failed: der_under_ceiling, plda+pic 0c4600159943 0.09127"
+        "exit 1, failed: der_under_ceiling, input 9b1059eae2d5, plda+pic 0c4600159943 0.09127"
     )
 
 
@@ -85,7 +92,8 @@ def test_length_sweep_runs_one_point():
     assert done.returncode == 0, done.stdout + done.stderr
     (line,) = done.stdout.splitlines()
     assert re.fullmatch(
-        r"length 150: windows \d+, wall \d+\.\d\d s, peak \d+ MB, DER 0\.\d{4}, digest [0-9a-f]{12}",
+        r"length 150: windows \d+, synthesis \d+\.\d{3} s, input [0-9a-f]{12}, "
+        r"wall \d+\.\d\d s, peak \d+ MB, DER 0\.\d{4}, digest [0-9a-f]{12}",
         line,
     ), line
 
@@ -94,16 +102,24 @@ def test_length_sweep_fails_on_a_failed_run_or_a_digest_difference():
     spec = importlib.util.spec_from_file_location("length_sweep", ROOT / "tools" / "length_sweep.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    run = {"ok": True, "windows": 595, "wall_s": 0.5, "peak_mb": 100.0, "der": 0.016, "digest": "2e6a246472ec"}
+    run = {
+        "ok": True, "windows": 595, "synth_s": 0.004, "input": "5d1e0c27a0b9", "wall_s": 0.5,
+        "peak_mb": 100.0, "der": 0.016, "digest": "2e6a246472ec",
+    }
     slower = {**run, "wall_s": 0.55, "peak_mb": 90.0}
     other = {**run, "digest": "e2a078c93edf"}
+    other_inputs = {**run, "input": "75c2a45633a6"}
     failed = {"ok": False}
     assert sweep.compare([run]) == (True, "")
     assert sweep.compare([slower, run]) == (True, " | wall x1.100, peak x0.900, digests equal")
     assert sweep.compare([run, other]) == (False, " | wall x1.000, peak x1.000, digests DIFFER")
+    assert sweep.compare([run, other_inputs]) == (
+        False, " | wall x1.000, peak x1.000, digests DIFFER"
+    )
     assert sweep.compare([run, failed]) == (False, "")
     assert sweep.compare([failed]) == (False, "")
     assert sweep.describe(failed) == "FAILED"
     assert sweep.describe(run) == (
-        "windows 595, wall 0.50 s, peak 100 MB, DER 0.0160, digest 2e6a246472ec"
+        "windows 595, synthesis 0.004 s, input 5d1e0c27a0b9, "
+        "wall 0.50 s, peak 100 MB, DER 0.0160, digest 2e6a246472ec"
     )

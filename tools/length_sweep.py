@@ -11,10 +11,12 @@ and diarizes it with ``run_corpus(workers=1)``, each point in its own
 process so that the peak resident set (``ru_maxrss``) is that point's.
 With ``--against``, the same point then runs on the other checkout's
 ``src/``.  Prints one line per length with, for each checkout, the
-windows, ``run_corpus`` wall time, peak RSS, DER and the 12-character
-output digest (perfbench's, of ``hyp/*.rttm`` and ``report.tsv``); with
-``--against``, the line ends with the wall and peak ratios (this checkout
-over the other) and whether the digests are equal.  Exits 1 if any run
+windows, the ``synthesize_corpus`` time and the 12-character digest of
+every file it wrote (perfbench's ``tree_digest``), then ``run_corpus`` wall
+time, peak RSS, DER and the 12-character output digest (perfbench's, of
+``hyp/*.rttm`` and ``report.tsv``); with ``--against``, the line ends with
+the wall and peak ratios (this checkout over the other) and whether both
+digests, input and output, are equal.  Exits 1 if any run
 fails or any digest differs.
 """
 
@@ -39,16 +41,19 @@ def measure_point(checkout: Path, length: float, seed: int) -> dict:
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import diarkit.pipeline as pipeline
     from diarkit.embeddings import read_embeddings
-    from workloads import output_digest
+    from workloads import output_digest, tree_digest
 
     if not Path(pipeline.__file__).resolve().is_relative_to(src):
         raise ImportError(f"diarkit was not imported from {src}")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
+        start = time.perf_counter()
         config_path = pipeline.synthesize_corpus(
             root / "corpus", num_recordings=1, min_speakers=4, max_speakers=4,
             duration=length, seed=seed,
         )
+        synth = time.perf_counter() - start
+        inputs = tree_digest(root / "corpus")[:12]
         windows = sum(len(read_embeddings(p)) for p in (root / "corpus" / "embeddings").glob("*.emb"))
         config = pipeline.PipelineConfig.load(config_path)
         out = root / "out"
@@ -60,6 +65,8 @@ def measure_point(checkout: Path, length: float, seed: int) -> dict:
         return {
             "ok": all(e.status == "ok" for e in manifest.entries),
             "windows": windows,
+            "synth_s": synth,
+            "input": inputs,
             "wall_s": wall,
             "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "der": float(row["der"]),
@@ -85,18 +92,20 @@ def describe(run: dict) -> str:
     if not run["ok"]:
         return "FAILED"
     return (
-        f"windows {run['windows']}, wall {run['wall_s']:.2f} s, peak {run['peak_mb']:.0f} MB, "
+        f"windows {run['windows']}, synthesis {run['synth_s']:.3f} s, input {run['input']}, "
+        f"wall {run['wall_s']:.2f} s, peak {run['peak_mb']:.0f} MB, "
         f"DER {run['der']:.4f}, digest {run['digest']}"
     )
 
 
 def compare(runs: list[dict]) -> tuple[bool, str]:
-    """Whether every run passed and all give one digest, and the line's tail."""
+    """Whether every run passed and all give one input and one output digest,
+    and the line's tail."""
     ok = all(run["ok"] for run in runs)
     if len(runs) == 1 or not ok:
         return ok, ""
     mine, other = runs
-    same = mine["digest"] == other["digest"]
+    same = (mine["input"], mine["digest"]) == (other["input"], other["digest"])
     return same, (
         f" | wall x{mine['wall_s'] / other['wall_s']:.3f}, peak x{mine['peak_mb'] / other['peak_mb']:.3f},"
         f" digests {'equal' if same else 'DIFFER'}"

@@ -8,10 +8,12 @@ Usage (from the repository root)::
 For each seed, runs ``perfbench/run.py --workload W --seed s --seconds 0``
 (one untraced pass) in this checkout and, with ``--against``, in the other
 checkout, one process at a time.  Prints one line per seed: for each
-checkout the exit code, the names of the output checks that failed, and
-each config's 12-character output digest and DER; with ``--against``, the
-line ends with whether the digests are equal.  Exits 1 if any run fails or
-any digest differs, else 0.  It reads only what perfbench prints.
+checkout the exit code, the names of the output checks that failed, the
+12-character digest of the synthesized inputs, and each config's
+12-character output digest and DER; with ``--against``, the line ends with
+whether all of those digests, inputs and outputs, are equal.  Exits 1 if any
+run fails or any digest differs, else 0.  It reads only what perfbench
+prints.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def parse_seeds(text: str) -> range:
 
 
 def run_seed(checkout: Path, workload: str, seed: int) -> dict:
-    """One perfbench run: exit code, failed check names, config -> (digest, DER)."""
+    """One perfbench run: exit code, failed check names, input digest, config -> (digest, DER)."""
     cmd = [
         sys.executable, str(checkout / "perfbench" / "run.py"),
         "--workload", workload, "--seed", str(seed), "--seconds", "0",
@@ -42,10 +44,11 @@ def run_seed(checkout: Path, workload: str, seed: int) -> dict:
         detail = json.loads(proc.stdout.strip().splitlines()[-2])
     except (IndexError, ValueError):
         sys.stderr.write(proc.stderr)
-        return {"exit": proc.returncode, "failed": ["no result"], "configs": {}}
+        return {"exit": proc.returncode, "failed": ["no result"], "input": "none", "configs": {}}
     return {
         "exit": proc.returncode,
         "failed": [name for name, ok in detail["checks"].items() if not ok],
+        "input": detail["input_digest"][:12],
         "configs": {
             name: (entry["output_digest"][:12], entry["der"])
             for name, entry in detail["configs"].items()
@@ -55,15 +58,20 @@ def run_seed(checkout: Path, workload: str, seed: int) -> dict:
 
 def describe(run: dict) -> str:
     configs = " ".join(f"{name} {digest} {der:.5f}" for name, (digest, der) in run["configs"].items())
-    return f"exit {run['exit']}, failed: {','.join(run['failed']) or 'none'}, {configs}"
+    failed = ",".join(run["failed"]) or "none"
+    return f"exit {run['exit']}, failed: {failed}, input {run['input']}, {configs}"
 
 
 def compare(runs: list[dict]) -> tuple[bool, str]:
-    """Whether every run passed and all give the same digests, and the line's tail."""
+    """Whether every run passed and all give the same input and output
+    digests, and the line's tail."""
     ok = all(run["exit"] == 0 and not run["failed"] for run in runs)
     if len(runs) == 1:
         return ok, ""
-    digests = [{name: digest for name, (digest, _) in run["configs"].items()} for run in runs]
+    digests = [
+        (run["input"], {name: digest for name, (digest, _) in run["configs"].items()})
+        for run in runs
+    ]
     same = all(d == digests[0] for d in digests[1:])
     return ok and same, " | digests " + ("equal" if same else "DIFFER")
 
